@@ -15,11 +15,6 @@
  *  4. system_open_loop — the same system under open-loop Poisson
  *     arrivals at 70% of its closed-loop throughput.
  *
- * Mixes 1–2 also run against a faithful in-binary copy of the legacy
- * kernel (std::function callbacks, std::priority_queue of fat entries,
- * alive/cancelled unordered_set pair) so the speedup of the current
- * kernel is self-measured rather than compared across builds.
- *
  * A second phase times a fig10-style sweep batch at --jobs 1 vs
  * --jobs N on the SweepRunner and verifies the per-cell stats JSON is
  * byte-identical, recording wall-clock speedup and host CPU count.
@@ -34,9 +29,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -58,97 +51,6 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/**
- * Faithful copy of the pre-rework kernel: std::function callbacks
- * stored inside fat priority_queue entries, with an alive/cancelled
- * unordered_set pair for lazy deletion. Kept here (not in src/) so the
- * production tree carries exactly one kernel; the benchmark measures
- * both implementations in a single binary.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    sim::Ticks curTick() const { return now; }
-
-    std::uint64_t
-    schedule(sim::Ticks when, Callback fn, int prio = 0)
-    {
-        const std::uint64_t id = nextSeq;
-        heap.push(Entry{when, prio, nextSeq, id, std::move(fn)});
-        alive.insert(id);
-        ++nextSeq;
-        return id;
-    }
-
-    std::uint64_t
-    scheduleIn(sim::Ticks delta, Callback fn, int prio = 0)
-    {
-        return schedule(now + delta, std::move(fn), prio);
-    }
-
-    bool
-    deschedule(std::uint64_t id)
-    {
-        if (alive.erase(id) == 0)
-            return false;
-        cancelled.insert(id);
-        return true;
-    }
-
-    std::uint64_t
-    run()
-    {
-        std::uint64_t n = 0;
-        while (!heap.empty()) {
-            if (auto it = cancelled.find(heap.top().id);
-                it != cancelled.end()) {
-                cancelled.erase(it);
-                heap.pop();
-                continue;
-            }
-            Entry e = heap.top();
-            heap.pop();
-            alive.erase(e.id);
-            now = e.when;
-            ++executedCount;
-            ++n;
-            e.fn();
-        }
-        return n;
-    }
-
-    std::uint64_t executed() const { return executedCount; }
-
-  private:
-    struct Entry {
-        sim::Ticks when;
-        int prio;
-        std::uint64_t seq;
-        std::uint64_t id;
-        Callback fn;
-    };
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
-        }
-    };
-
-    sim::Ticks now = 0;
-    std::uint64_t nextSeq = 1;
-    std::uint64_t executedCount = 0;
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
-    std::unordered_set<std::uint64_t> alive;
-    std::unordered_set<std::uint64_t> cancelled;
-};
 
 struct MixResult {
     std::uint64_t events = 0;
@@ -172,19 +74,18 @@ lcgNext(std::uint64_t s)
 /**
  * Mix 1: @p chains concurrent timer chains, each fired event
  * rescheduling its successor at a pseudo-random small delta until the
- * shared budget runs out. The callable is 32 bytes — inline in the
- * current kernel, a heap allocation per schedule under std::function.
+ * shared budget runs out. The callable is 32 bytes, inline in the
+ * kernel's small-buffer callback.
  */
-template <typename Q>
 MixResult
 scheduleFireMix(std::uint64_t total_events)
 {
     constexpr int kChains = 2048;
-    Q q;
+    sim::EventQueue q;
     std::uint64_t fired = 0;
 
     struct Timer {
-        Q *q;
+        sim::EventQueue *q;
         std::uint64_t *fired;
         std::uint64_t total;
         std::uint64_t state;
@@ -219,15 +120,13 @@ scheduleFireMix(std::uint64_t total_events)
  * Mix 2: every fired event schedules a live successor plus a far-future
  * decoy, and cancels the decoy scheduled two fires earlier — a steady
  * one-cancel-per-fire stream that keeps a tombstone population in the
- * heap (driving the compaction path in the current kernel and the
- * cancelled-set in the legacy one).
+ * heap (driving the compaction path).
  */
-template <typename Q>
 MixResult
 scheduleCancelMix(std::uint64_t total_events)
 {
     constexpr int kChains = 64;
-    Q q;
+    sim::EventQueue q;
     std::uint64_t fired = 0;
     std::vector<std::uint64_t> doomed;
     std::size_t head = 0;
@@ -238,7 +137,7 @@ scheduleCancelMix(std::uint64_t total_events)
     };
 
     struct Worker {
-        Q *q;
+        sim::EventQueue *q;
         std::uint64_t *fired;
         std::uint64_t total;
         std::vector<std::uint64_t> *doomed;
@@ -269,8 +168,7 @@ scheduleCancelMix(std::uint64_t total_events)
                                 static_cast<std::uint64_t>(i + 1)});
     }
     q.run();
-    // Any decoys that survived to the far future fire as no-ops above;
-    // executed() therefore counts the same work in both kernels.
+    // Any decoys that survived to the far future fire as no-ops above.
 
     MixResult r;
     r.wallSeconds = secondsSince(t0);
@@ -307,17 +205,11 @@ systemMix(const SystemConfig &cfg, double *jobs_per_sec = nullptr)
 }
 
 void
-printMix(const char *name, const MixResult &cur, const MixResult *legacy)
+printMix(const char *name, const MixResult &m)
 {
-    std::printf("%-22s %12llu events  %8.3f s  %12.0f ev/s",
-                name, static_cast<unsigned long long>(cur.events),
-                cur.wallSeconds, cur.eventsPerSec());
-    if (legacy) {
-        std::printf("  (legacy %12.0f ev/s, speedup %.2fx)",
-                    legacy->eventsPerSec(),
-                    cur.eventsPerSec() / legacy->eventsPerSec());
-    }
-    std::printf("\n");
+    std::printf("%-22s %12llu events  %8.3f s  %12.0f ev/s\n",
+                name, static_cast<unsigned long long>(m.events),
+                m.wallSeconds, m.eventsPerSec());
     std::fflush(stdout);
 }
 
@@ -335,8 +227,7 @@ main(int argc, char **argv)
 
     sim::OptionParser opts(
         "kernel_bench",
-        "Event-kernel microbenchmark (vs an in-binary legacy kernel) "
-        "plus a SweepRunner scaling and determinism check.");
+        "Event-kernel microbenchmark plus a SweepRunner scaling and determinism check.");
     opts.addUint("events", &total_events,
                  "target fired events per kernel mix");
     opts.addUint("measure-jobs", &measure_jobs,
@@ -354,38 +245,27 @@ main(int argc, char **argv)
 
     const unsigned host_cpus = sim::SweepRunner::hardwareJobs();
 
-    // ---- Phase 1: kernel mixes, current vs legacy ----
+    // ---- Phase 1: kernel mixes ----
     std::printf("# kernel_bench: %llu events/mix, host_cpus=%u\n",
                 static_cast<unsigned long long>(total_events),
                 host_cpus);
 
-    const MixResult fire_cur =
-        scheduleFireMix<sim::EventQueue>(total_events);
-    const MixResult fire_leg =
-        scheduleFireMix<LegacyEventQueue>(total_events);
-    printMix("schedule_fire", fire_cur, &fire_leg);
+    const MixResult fire = scheduleFireMix(total_events);
+    printMix("schedule_fire", fire);
 
-    const MixResult cancel_cur =
-        scheduleCancelMix<sim::EventQueue>(total_events);
-    const MixResult cancel_leg =
-        scheduleCancelMix<LegacyEventQueue>(total_events);
-    printMix("schedule_cancel_fire", cancel_cur, &cancel_leg);
+    const MixResult cancel = scheduleCancelMix(total_events);
+    printMix("schedule_cancel_fire", cancel);
 
     double closed_jobs_per_sec = 0;
     const MixResult msr =
         systemMix(systemCfg(measure_jobs), &closed_jobs_per_sec);
-    printMix("system_msr_heavy", msr, nullptr);
+    printMix("system_msr_heavy", msr);
 
     SystemConfig open_cfg = systemCfg(measure_jobs);
     open_cfg.meanInterarrival = static_cast<sim::Ticks>(
         1e12 / (0.7 * closed_jobs_per_sec));
     const MixResult open = systemMix(open_cfg);
-    printMix("system_open_loop", open, nullptr);
-
-    const double speedup_fire =
-        fire_cur.eventsPerSec() / fire_leg.eventsPerSec();
-    const double speedup_cancel =
-        cancel_cur.eventsPerSec() / cancel_leg.eventsPerSec();
+    printMix("system_open_loop", open);
 
     if (!kernel_out.empty()) {
         std::ofstream out(kernel_out);
@@ -403,33 +283,22 @@ main(int argc, char **argv)
         w.beginArray();
         const struct {
             const char *name;
-            const MixResult *cur;
-            const MixResult *legacy;
+            const MixResult *result;
         } mixes[] = {
-            {"schedule_fire", &fire_cur, &fire_leg},
-            {"schedule_cancel_fire", &cancel_cur, &cancel_leg},
-            {"system_msr_heavy", &msr, nullptr},
-            {"system_open_loop", &open, nullptr},
+            {"schedule_fire", &fire},
+            {"schedule_cancel_fire", &cancel},
+            {"system_msr_heavy", &msr},
+            {"system_open_loop", &open},
         };
         for (const auto &m : mixes) {
             w.beginObject();
             w.field("name", m.name);
-            w.field("events", m.cur->events);
-            w.field("wall_seconds", m.cur->wallSeconds);
-            w.field("events_per_sec", m.cur->eventsPerSec());
-            if (m.legacy) {
-                w.field("legacy_events_per_sec",
-                        m.legacy->eventsPerSec());
-                w.field("speedup_vs_legacy",
-                        m.cur->eventsPerSec() /
-                            m.legacy->eventsPerSec());
-            }
+            w.field("events", m.result->events);
+            w.field("wall_seconds", m.result->wallSeconds);
+            w.field("events_per_sec", m.result->eventsPerSec());
             w.endObject();
         }
         w.endArray();
-        w.field("kernel_speedup_min",
-                speedup_fire < speedup_cancel ? speedup_fire
-                                              : speedup_cancel);
         w.endObject();
         out << "\n";
         std::printf("# wrote %s\n", kernel_out.c_str());

@@ -7,17 +7,13 @@ namespace astriflash::core {
 DramCache::DramCache(sim::EventQueue &eq, std::string name,
                      const DramCacheConfig &config,
                      flash::Backend &flash,
-                     const mem::AddressMap &amap,
-                     const std::vector<sim::EventQueue *> &bc_queues)
+                     const mem::AddressMap &amap)
     : sim::SimObject(eq, std::move(name)), cfg(config),
       dramModel(SimObject::name() + ".dram", config.dram),
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
                config.pageBytes, config.ways),
       fcCtl(SimObject::name() + ".fc", cfg, dramModel, pageTags,
-            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl,
-            // Conservative whole-read estimate for pipelined sync
-            // misses, derived here so the FC never sees the device.
-            flash.readEstimate())
+            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl)
 {
     // Bad user configuration, not an invariant: SIM_CHECK compiles
     // out in plain Release, and shards=0 would SIGFPE in the slice
@@ -26,16 +22,6 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     if (shards == 0)
         ASTRI_FATAL("%s: at least one BC shard required",
                     SimObject::name().c_str());
-    if (cfg.fc.pipeline && cfg.fabric.devices % shards != 0) {
-        // Split exec groups submit flash commands concurrently; the
-        // page-interleaved shards only hit disjoint devices when the
-        // device count is a shard multiple (lpn % devices then fixes
-        // the device's shard residue).
-        ASTRI_FATAL("%s: pipeline mode needs the flash device count "
-                    "(%u) to be a multiple of the BC shard count (%u)",
-                    SimObject::name().c_str(), cfg.fabric.devices,
-                    shards);
-    }
 
     // Capacity conservation: the per-shard slices of the cache-wide
     // MSR and evict-buffer capacities must sum exactly to the
@@ -113,14 +99,9 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
                 SimObject::name() + ".fc_to_bc_ctl" + tag,
                 cfg.channels.fcToBcCtlDepth, ctl_contract));
     }
-    if (!bc_queues.empty() && bc_queues.size() != shards) {
-        ASTRI_FATAL("%s: %zu domain queues for %u BC shards",
-                    SimObject::name().c_str(), bc_queues.size(),
-                    shards);
-    }
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
-            bc_queues.empty() ? eq : *bc_queues[i],
+            eq,
             SimObject::name() + ".bc" + shardTag(i), cfg, amap, flash,
             *fcToBc[i], *bcToFlash[i], *bcToFc[i], *bcToFcRsp[i],
             *fcToBcCtl[i], shardSlice(cfg.bc.msrSets, shards, i),
@@ -128,71 +109,10 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
     }
 
-    // Ownership declarations (DESIGN.md §16). The facade's value-owned
-    // shared structures execute on the frontside queue; each shard's
-    // channels declare their endpoint domains; and the fused mode's
-    // two deliberate drain-chain crossings per shard are
-    // pre-registered so the runtime audit counts them instead of
-    // flagging them.
-    serviceCrossings.assign(shards, kNoCrossing);
-    installCrossings.assign(shards, kNoCrossing);
-    if ((ownAudit = sim::OwnershipAuditor::current()) != nullptr) {
-        sim::OwnershipRegistry &own = ownAudit->registry();
-        const sim::DomainId fc_dom = own.domainOf(&eq);
-        own.declareComponent(SimObject::name() + ".fc", fc_dom);
-        own.declareComponent(SimObject::name() + ".dram", fc_dom);
-        own.declareComponent(SimObject::name() + ".tags", fc_dom);
-        own.declareComponent(SimObject::name() + ".footprint", fc_dom);
-        for (std::uint32_t i = 0; i < shards; ++i) {
-            const std::string tag = shardTag(i);
-            const sim::DomainId bc_dom = own.domainOf(
-                bc_queues.empty() ? static_cast<const void *>(&eq)
-                                  : bc_queues[i]);
-            fcToBc[i]->declareEndpoints(fc_dom, bc_dom);
-            bcToFlash[i]->declareEndpoints(bc_dom, bc_dom);
-            bcToFc[i]->declareEndpoints(bc_dom, fc_dom);
-            bcToFcRsp[i]->declareEndpoints(bc_dom, fc_dom);
-            fcToBcCtl[i]->declareEndpoints(fc_dom, bc_dom);
-            if (fc_dom == bc_dom || fc_dom == sim::kNoDomain ||
-                bc_dom == sim::kNoDomain) {
-                continue; // unpartitioned: nothing crosses
-            }
-            if (cfg.fc.pipeline) {
-                // Pipelined mode has no synchronous drain chains to
-                // pre-register: every FC<->BC interaction is channel
-                // traffic pumped inside its owning domain. Zero
-                // declared crossings IS the retirement certificate
-                // (the ownership tests assert it).
-                continue;
-            }
-            serviceCrossings[i] = ownAudit->registerCrossing(
-                SimObject::name() + ".bc" + tag + ".service", fc_dom,
-                bc_dom);
-            installCrossings[i] = ownAudit->registerCrossing(
-                SimObject::name() + ".bc" + tag + ".deliver_installs",
-                bc_dom, fc_dom);
-        }
-    }
-
-    // Each controller drains its own inbound channels; the crossing
-    // notes report the fused-mode drain chains that still cross
-    // domains (no-ops when unpartitioned or pipelined).
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        bcCtls[i]->setCrossingNotes([this, i](sim::Ticks t) {
-            noteCrossing(serviceCrossings[i], t);
-        });
-        bcCtls[i]->bindChannels();
-    }
-    std::vector<CrossingNoteFn> install_notes;
-    install_notes.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        install_notes.push_back([this, i](sim::Ticks t) {
-            noteCrossing(installCrossings[i], t);
-        });
-    }
-    fcCtl.setCrossingNotes(std::move(install_notes));
+    // Each controller drains its own inbound channels.
+    for (auto &bc : bcCtls)
+        bc->bindChannels();
     fcCtl.bindChannels();
-    setCrossPost(nullptr);
 }
 
 std::string
@@ -202,61 +122,6 @@ DramCache::shardTag(std::uint32_t shard) const
     // golden stat namespaces stay byte-identical.
     return cfg.bc.shards == 1 ? std::string{}
                               : std::to_string(shard);
-}
-
-void
-DramCache::setCrossPost(EnginePostFn fn)
-{
-    if (!fn) {
-        // Single-queue fallback: every posted pump schedules on the
-        // facade's own queue (the frontside domain), which fused and
-        // unpartitioned runs share with every shard.
-        fn = [this](std::uint32_t, std::uint32_t, sim::Ticks when,
-                    std::function<void()> cb) {
-            scheduleIn(when > curTick() ? when - curTick() : 0,
-                       std::move(cb));
-        };
-    }
-    // Pre-bind one function per channel direction: the engine keys
-    // deterministic delivery on the posting domain, so the producer
-    // side must be fixed at bind time. Domain 0 is the frontside,
-    // 1+i is backside shard i.
-    std::vector<CrossPostFn> fc_posts;
-    fc_posts.reserve(bcCtls.size());
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(bcCtls.size()); ++i) {
-        fc_posts.push_back(
-            [fn, i](sim::Ticks when, std::function<void()> cb) {
-                fn(1 + i, 0, when, std::move(cb));
-            });
-        bcCtls[i]->setPostFn(
-            [fn, i](sim::Ticks when, std::function<void()> cb) {
-                fn(0, 1 + i, when, std::move(cb));
-            });
-    }
-    fcCtl.setPostFn(std::move(fc_posts));
-}
-
-void
-DramCache::freezeSeamWindows()
-{
-    for (std::size_t i = 0; i < bcCtls.size(); ++i) {
-        fcToBc[i]->freezeDrainWindow();
-        bcToFc[i]->freezeDrainWindow();
-        bcToFcRsp[i]->freezeDrainWindow();
-        fcToBcCtl[i]->freezeDrainWindow();
-    }
-}
-
-void
-DramCache::thawSeamWindows()
-{
-    for (std::size_t i = 0; i < bcCtls.size(); ++i) {
-        fcToBc[i]->thawDrainWindow();
-        bcToFc[i]->thawDrainWindow();
-        bcToFcRsp[i]->thawDrainWindow();
-        fcToBcCtl[i]->thawDrainWindow();
-    }
 }
 
 DcAccess
@@ -328,14 +193,8 @@ DramCache::regStats(sim::StatRegistry &reg) const
         fcToBc[i]->regStats(reg.subRegistry("fc_to_bc" + tag));
         bcToFlash[i]->regStats(reg.subRegistry("bc_to_flash" + tag));
         bcToFc[i]->regStats(reg.subRegistry("bc_to_fc" + tag));
-        if (cfg.fc.pipeline) {
-            // Pipeline-only channels stay out of the default stat
-            // tree so the pre-split goldens remain byte-identical.
-            bcToFcRsp[i]->regStats(
-                reg.subRegistry("bc_to_fc_rsp" + tag));
-            fcToBcCtl[i]->regStats(
-                reg.subRegistry("fc_to_bc_ctl" + tag));
-        }
+        // The rsp/ctl channels stay out of the stat tree so the
+        // pre-split goldens remain byte-identical.
     }
 }
 

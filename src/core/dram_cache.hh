@@ -25,8 +25,7 @@
  * constructs the channels and the controllers, and wires each
  * controller to drain its OWN inbound channels — the facade itself
  * pumps nothing and makes no synchronous controller-to-controller
- * calls (the ownership report's sync-facade-call count is zero). It
- * is the single allowlisted place (aflint AF013) where both
+ * calls. It is the single allowlisted place (aflint AF013) where both
  * controllers are visible at once, and the flash back-end it hands
  * each shard is only ever the abstract flash::Backend (aflint AF014
  * keeps the concrete device types out of src/core entirely).
@@ -46,7 +45,6 @@
 #define ASTRIFLASH_CORE_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,7 +56,6 @@
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
-#include "sim/ownership.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -77,18 +74,6 @@ class DramCache : public sim::SimObject
   public:
     using PageReadyFn = FrontsideController::PageReadyFn;
 
-    /**
-     * Cross-domain pump scheduler: run @p fn at tick @p when in domain
-     * @p dst, where the post originates in domain @p src. Domain 0 is
-     * the frontside; domain 1+i is backside shard i. The facade
-     * installs a single-queue fallback at construction
-     * (setCrossPost(nullptr)); System swaps in the parallel engine's
-     * mailbox around a partitioned run.
-     */
-    using EnginePostFn = std::function<void(
-        std::uint32_t src, std::uint32_t dst, sim::Ticks when,
-        std::function<void()> fn)>;
-
     /** Cache-wide backside totals summed across shards. */
     struct BcTotals {
         std::uint64_t fills = 0;
@@ -99,22 +84,9 @@ class DramCache : public sim::SimObject
         std::uint64_t peakOutstanding = 0;
     };
 
-    /**
-     * @param bc_queues  Optional per-shard event queues (one per BC
-     *                   shard) for sim::ParallelEngine domain
-     *                   partitioning; empty keeps every controller on
-     *                   @p eq. In fused mode (FcConfig::pipeline off)
-     *                   the queues must share @p eq's EventQueueGroup —
-     *                   the drain chains still cross synchronously, so
-     *                   the domains form one exec group. In pipeline
-     *                   mode each shard's domain may live in its own
-     *                   exec group: every seam is channel traffic with
-     *                   declared lookahead (DESIGN.md §17).
-     */
     DramCache(sim::EventQueue &eq, std::string name,
               const DramCacheConfig &config, flash::Backend &flash,
-              const mem::AddressMap &amap,
-              const std::vector<sim::EventQueue *> &bc_queues = {});
+              const mem::AddressMap &amap);
 
     /** Register the page-arrival notification hook. */
     void
@@ -122,27 +94,6 @@ class DramCache : public sim::SimObject
     {
         fcCtl.setPageReadyCallback(std::move(fn));
     }
-
-    /**
-     * Install the cross-domain pump scheduler (pipeline mode).
-     * Passing nullptr restores the single-queue fallback, which
-     * schedules every posted pump on the facade's own event queue.
-     */
-    void setCrossPost(EnginePostFn fn);
-
-    /**
-     * Close every FC<->BC seam channel's drain window at its current
-     * push sequence (sim::BoundedChannel::freezeDrainWindow). System
-     * calls it before the split engine run and at every barrier so
-     * each round's pumps drain exactly the barrier-time queues. The
-     * intra-domain bc_to_flash channels are exempt: their pumps run
-     * in the pushing call chain.
-     */
-    void freezeSeamWindows();
-
-    /** Reopen the seam drain windows (after the split engine run, so
-     *  post-run quiesce pumps on the facade's own queue can drain). */
-    void thawSeamWindows();
 
     /**
      * Frontside access from the LLC miss path.
@@ -234,13 +185,12 @@ class DramCache : public sim::SimObject
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
      * shard's channels ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
-     * "bc_to_fc[<i>]"; the pipeline-mode rsp/ctl channels register
-     * only when that mode is on, keeping the default tree
-     * byte-identical).
+     * "bc_to_fc[<i>]"; the rsp/ctl channels stay out of the tree,
+     * which keeps it byte-identical to the pre-split goldens).
      */
     void regStats(sim::StatRegistry &reg) const;
 
-    /** Audit the FC and every BC shard, including the cross-domain
+    /** Audit the FC and every BC shard, including the cross-side
      *  auditShared sweeps over the fc-owned structures. The MSRs,
      *  evict buffers, tag array, and channels register their own
      *  invariant entries (see System::registerInvariants). */
@@ -323,18 +273,6 @@ class DramCache : public sim::SimObject
     /** Shard-scoped suffix: "" unsharded, "<i>" sharded. */
     std::string shardTag(std::uint32_t shard) const;
 
-    /** "Not a registered crossing" sentinel (same-domain facade). */
-    static constexpr std::uint32_t kNoCrossing =
-        static_cast<std::uint32_t>(-1);
-
-    /** Count one exercise of a pre-registered facade crossing. */
-    void
-    noteCrossing(std::uint32_t id, sim::Ticks now)
-    {
-        if (ownAudit && id != kNoCrossing)
-            ownAudit->onCrossing(id, now);
-    }
-
     DramCacheConfig cfg;
     mem::Dram dramModel;
     mem::SetAssocCache pageTags;
@@ -351,18 +289,6 @@ class DramCache : public sim::SimObject
         fcToBcCtl;
     FrontsideController fcCtl;
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
-
-    /** Ownership auditor attached at construction (or null). In fused
-     *  mode the controllers' drain chains still exercise the two
-     *  pre-registered deliberate crossings per shard ("service" and
-     *  "deliver_installs"); the controllers report them through their
-     *  crossing-note callbacks so the static coupling report (aflint
-     *  --ownership-report) can be certified against what actually
-     *  runs. Pipeline mode crosses only through posted pumps, so the
-     *  counts go to zero along with the sync facade calls. */
-    sim::OwnershipAuditor *ownAudit = nullptr;
-    std::vector<std::uint32_t> serviceCrossings; ///< FC -> BC<i>.
-    std::vector<std::uint32_t> installCrossings; ///< BC<i> -> FC.
 };
 
 } // namespace astriflash::core

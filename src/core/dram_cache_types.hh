@@ -9,7 +9,6 @@
 #define ASTRIFLASH_CORE_DRAM_CACHE_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,42 +22,9 @@ namespace astriflash::core {
 /** Opaque identifier for whoever is waiting on a missing page. */
 using WaiterCookie = std::uint64_t;
 
-/**
- * Pipeline-mode pump scheduler: run @p fn at absolute tick @p when in
- * the destination controller's domain. Each instance is pre-bound to
- * one (producer domain, consumer domain) channel direction, because
- * the parallel engine's post() keys its deterministic delivery order
- * on the posting domain. The facade installs a fallback that schedules
- * on its own event queue; System replaces it with the engine's
- * cross-group mailbox for partitioned runs.
- */
-using CrossPostFn =
-    std::function<void(sim::Ticks when, std::function<void()> fn)>;
-
-/** Telemetry callback counting one exercise of a pre-registered
- *  deliberate domain crossing (sim::OwnershipAuditor::onCrossing). */
-using CrossingNoteFn = std::function<void(sim::Ticks now)>;
-
 /** Frontside-controller parameters (the 1-cycle-per-op FSM, §V-A). */
 struct FcConfig {
     sim::Cycles cyclesPerOp{1};
-    /**
-     * Pipeline the miss path (--fc-pipeline): miss requests complete
-     * asynchronously through the bc_to_fc_rsp channel instead of the
-     * fused synchronous drain chain, and System places each BC
-     * shard's domain in its own exec group so --host-jobs N runs the
-     * shards on separate workers. Off by default: the fused mode is
-     * byte-identical to the legacy goldens; split mode has its own
-     * golden set (DESIGN.md §17).
-     */
-    bool pipeline = false;
-    /**
-     * Pipeline mode only: bound on the per-shard window of probes
-     * whose acks are still in flight. A probe past the bound is
-     * delayed to the pending queue's drain estimate and counted in
-     * the FC backpressure stats. Effectively unbounded by default.
-     */
-    std::uint32_t pendingDepth = 65536;
 };
 
 /**
@@ -99,8 +65,7 @@ struct ChannelConfig {
      * Lookahead manifest (DESIGN.md §14): each channel's declared
      * minimum push-to-consume latency, in BC operations
      * (BcConfig::cyclesPerOp at the controller clock), certified at
-     * runtime by sim::CausalityAuditor and inherited as conservative
-     * lookahead by the future parallel engine.
+     * runtime by sim::CausalityAuditor.
      *
      * - fc_to_bc: the BC spends at least one op dequeuing a request
      *   before acting on it.
@@ -112,7 +77,7 @@ struct ChannelConfig {
      *   pushed it.
      * - bc_to_fc_rsp / fc_to_bc_ctl: acks, install requests, and
      *   install grants each cost the consumer at least one op before
-     *   it acts — the lookahead the split exec groups run ahead on.
+     *   it acts.
      */
     std::uint32_t fcToBcMinLatencyOps = 1;
     std::uint32_t bcToFlashMinLatencyOps = 0;

@@ -3,17 +3,11 @@
  * Shared CLI binding for the shard/fabric knobs.
  *
  * Every binary that builds a System (astriflash_sim, the figure
- * benches, the ablation) exposes the same five flags:
+ * benches, the ablation) exposes the same three flags:
  *
  *   --bc-shards=N       backside-controller shards
  *   --flash-devices=M   flash devices behind the fabric
  *   --flash-backend=K   concrete device model ("ftl" or "zns")
- *   --host-jobs=N       host worker threads per run (conservative
- *                       parallel engine; stats byte-identical at any N)
- *   --fc-pipeline       pipeline the FC miss path: async channel acks,
- *                       one exec group per BC shard (own golden set;
- *                       stats byte-identical across --host-jobs, not
- *                       to the default fused mode)
  *
  * This helper holds the parsed values (defaulted from the config
  * structs so the flags are optional), registers the flags on a
@@ -35,17 +29,14 @@
 
 namespace astriflash::core {
 
-/** Parsed --bc-shards / --flash-devices / --flash-backend /
- *  --host-jobs / --fc-pipeline values. */
+/** Parsed --bc-shards / --flash-devices / --flash-backend values. */
 struct FabricOptions {
     std::uint32_t bcShards = BcConfig{}.shards;
     std::uint32_t flashDevices = flash::FlashFabricConfig{}.devices;
     flash::BackendKind flashBackend =
         flash::FlashFabricConfig{}.backend;
-    std::uint32_t hostJobs = SystemConfig{}.hostJobs;
-    bool fcPipeline = FcConfig{}.pipeline;
 
-    /** Register the five flags on @p opts. */
+    /** Register the three flags on @p opts. */
     void
     addTo(sim::OptionParser &opts)
     {
@@ -59,12 +50,6 @@ struct FabricOptions {
             [this](const std::string &value) {
                 return flash::parseBackendKind(value, &flashBackend);
             });
-        opts.addUint32("host-jobs", &hostJobs,
-                       "host worker threads per run (1 = legacy "
-                       "single-queue loop; stats identical at any N)");
-        opts.addFlag("fc-pipeline", &fcPipeline,
-                     "pipeline the frontside miss path (split exec "
-                     "groups; separate golden set)");
     }
 
     /** Copy the parsed values into @p cfg. */
@@ -74,8 +59,6 @@ struct FabricOptions {
         cfg.dramCache.bc.shards = bcShards;
         cfg.dramCache.fabric.devices = flashDevices;
         cfg.dramCache.fabric.backend = flashBackend;
-        cfg.hostJobs = hostJobs == 0 ? 1 : hostJobs;
-        cfg.dramCache.fc.pipeline = fcPipeline;
     }
 };
 

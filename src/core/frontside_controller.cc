@@ -16,65 +16,27 @@ FrontsideController::FrontsideController(
     std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
         &from_bc_rsp,
     std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-        &to_bc_ctl,
-    sim::Ticks flash_read_estimate)
+        &to_bc_ctl)
     : fcName(std::move(name)), cfg(config), dramModel(dram),
       pageTags(tags), fp(footprint), toBc(to_bc), fromBc(from_bc),
-      fromBcRsp(from_bc_rsp), toBcCtl(to_bc_ctl),
-      flashReadEstimate(flash_read_estimate)
+      fromBcRsp(from_bc_rsp), toBcCtl(to_bc_ctl)
 {
     const sim::ClockDomain clk(cfg.controllerFreqHz);
     fcOpTicks = clk.cycles(cfg.fc.cyclesPerOp);
-    bcOpTicks = clk.cycles(cfg.bc.cyclesPerOp);
 }
 
 void
 FrontsideController::bindChannels()
 {
-    pendingAcks.assign(toBc.size(), {});
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(toBc.size()); ++i) {
-        if (!cfg.fc.pipeline) {
-            // Fused mode: the backside's ack lands here inside its own
-            // push, latching the reply for the access() call that
-            // triggered the whole chain; install completions wake
-            // waiters in the same nested call.
-            fromBcRsp[i]->setDrainHook(
-                [this, i] { pumpRsp(i, sim::kTickNever); });
-            fromBc[i]->setDrainHook([this, i] {
-                if (installNotes.size() > i && installNotes[i])
-                    installNotes[i](fromBc[i]->front().acceptedAt);
-                pumpInstalls(i, sim::kTickNever);
-            });
-            continue;
-        }
-        // Pipeline mode: the producer's push schedules this
-        // controller's pump at accept + the declared lookahead. The
-        // FC has no clock of its own, so the closure carries the
-        // computed pump tick as the eligibility bound.
-        fromBcRsp[i]->setNotifyHook([this, i](sim::Ticks accept) {
-            const sim::Ticks when =
-                accept + fromBcRsp[i]->contract().minLatency;
-            requestPump(i, when,
-                        [this, i, when] { pumpRsp(i, when); });
-        });
-        fromBc[i]->setNotifyHook([this, i](sim::Ticks accept) {
-            const sim::Ticks when =
-                accept + fromBc[i]->contract().minLatency;
-            requestPump(i, when,
-                        [this, i, when] { pumpInstalls(i, when); });
-        });
+        // The backside's ack lands here inside its own push, latching
+        // the reply for the access() call that triggered the whole
+        // chain; install completions wake waiters in the same nested
+        // call.
+        fromBcRsp[i]->setDrainHook([this, i] { pumpRsp(i); });
+        fromBc[i]->setDrainHook([this, i] { pumpInstalls(i); });
     }
-}
-
-void
-FrontsideController::requestPump(std::uint32_t shard, sim::Ticks when,
-                                 std::function<void()> fn)
-{
-    ASTRI_ASSERT_MSG(shard < postFns.size() && postFns[shard],
-                     "%s: no cross-post function for shard %u",
-                     fcName.c_str(), shard);
-    postFns[shard](when, std::move(fn));
 }
 
 sim::Ticks
@@ -156,13 +118,9 @@ FrontsideController::access(mem::Addr pa, bool write, sim::Ticks now,
             probe_done);
     }
 
-    if (!cfg.fc.pipeline) {
-        // The push synchronously ran the backside's drain; its ack
-        // came back through the response channel and is latched.
-        return finishMiss(p, takeAck());
-    }
-    recordPending(p, false);
-    return missResponse(p);
+    // The push synchronously ran the backside's drain; its ack came
+    // back through the response channel and is latched.
+    return finishMiss(p, takeAck());
 }
 
 sim::Ticks
@@ -206,14 +164,7 @@ FrontsideController::accessSync(mem::Addr pa, bool write,
             probe_done);
     }
 
-    if (!cfg.fc.pipeline)
-        return finishSyncMiss(p, takeAck());
-    // The requester blocks on the conservative estimate; the ack only
-    // settles the hit/miss accounting when it drains.
-    recordPending(p, true);
-    const DcAccess resp = missResponse(p);
-    const sim::Ticks est = syncMissEstimate(p.accepted);
-    return est > resp.ready ? est : resp.ready;
+    return finishSyncMiss(p, takeAck());
 }
 
 DcAccess
@@ -255,48 +206,6 @@ FrontsideController::finishSyncMiss(const Probe &probe,
     return rep.ready + cfg.dram.tCas + cfg.dram.tBurst;
 }
 
-void
-FrontsideController::recordPending(const Probe &probe, bool sync)
-{
-    auto &q = pendingAcks[probe.shard];
-    q.push_back(PendingProbe{probe, sync});
-    if (q.size() > statsData.reqQueuePeak)
-        statsData.reqQueuePeak = q.size();
-}
-
-DcAccess
-FrontsideController::missResponse(const Probe &probe)
-{
-    sim::Ticks resp = probe.accepted + fcOp();
-    const auto &q = pendingAcks[probe.shard];
-    if (q.size() > cfg.fc.pendingDepth) {
-        // The shard's ack window is over its bound: charge one FC op
-        // per excess probe, modeling the FSM working the backlog down
-        // before it can answer this one.
-        const sim::Ticks delay =
-            (q.size() - cfg.fc.pendingDepth) * fcOp();
-        statsData.reqQueueStalls.inc();
-        statsData.reqQueueStallTicks.inc(delay);
-        resp += delay;
-    }
-    return DcAccess{false, resp};
-}
-
-sim::Ticks
-FrontsideController::syncMissEstimate(sim::Ticks accepted) const
-{
-    // Mirror of the backside's conservative dataReady estimate:
-    // dequeue + MSR search, the whole-page flash read, the trailing
-    // op, the install stream, and the requester's final data read.
-    const sim::Ticks install = cfg.dram.closedRowLatency() +
-                               cfg.dram.tBurst *
-                                   (cfg.pageBytes / mem::kBlockSize -
-                                    1) +
-                               bcOpTicks;
-    return accepted + 2 * bcOpTicks + flashReadEstimate + bcOpTicks +
-           install + cfg.dram.tCas + cfg.dram.tBurst;
-}
-
 BcReply
 FrontsideController::takeAck()
 {
@@ -309,84 +218,26 @@ FrontsideController::takeAck()
 }
 
 void
-FrontsideController::pumpRsp(std::uint32_t shard,
-                             sim::Ticks eligible_until)
+FrontsideController::pumpRsp(std::uint32_t shard)
 {
     auto &channel = *fromBcRsp[shard];
     const sim::Ticks lat = channel.contract().minLatency;
     while (!channel.empty()) {
-        // Entries pushed after the round's barrier wait for their own
-        // pump: the frozen window keeps the drain set independent of
-        // worker interleaving.
-        if (channel.frontHeldByFreeze())
-            break;
         const auto &st = channel.front();
-        if (eligible_until != sim::kTickNever &&
-            st.acceptedAt + lat > eligible_until)
-            break;
         const BcNotice n = st.msg;
         const sim::Ticks at = st.acceptedAt;
         channel.dropFront(at + lat);
         if (n.kind == BcNotice::Kind::InstallReq) {
-            // Fused mode installs at the accept tick — the request is
-            // one nested call from the arrival event, byte-identical
-            // to the pre-split controller; pipeline mode acts one
-            // declared-lookahead op later. The rsp channel's pushes
-            // are not monotone (probe-clocked acks interleave with
-            // event-clocked install requests), so an entry can sit
-            // behind a later-stamped head until that head's pump
-            // drains both: clamp the act tick to this pump's bound —
-            // the entry-to-pump assignment is deterministic, and an
-            // unclamped stale tick would cross-post the grant into
-            // the backside domain's past.
-            sim::Ticks act = at;
-            if (cfg.fc.pipeline) {
-                act = at + lat > eligible_until ? at + lat
-                                                : eligible_until;
-            }
-            handleInstallReq(shard, n, act);
-        } else if (!cfg.fc.pipeline) {
+            // Install at the accept tick: the request is one nested
+            // call from the arrival event, byte-identical to the
+            // pre-split controller.
+            handleInstallReq(shard, n, at);
+        } else {
             // The ack for the access() that pushed the miss — the
             // call chain below this drain returns straight to it.
             ackReply = n.reply;
             ackValid = true;
-        } else {
-            finishAck(shard, n);
         }
-    }
-}
-
-void
-FrontsideController::finishAck(std::uint32_t shard,
-                               const BcNotice &notice)
-{
-    auto &q = pendingAcks[shard];
-    ASTRI_ASSERT_MSG(!q.empty(),
-                     "%s: ack from shard %u with no probe in flight",
-                     fcName.c_str(), shard);
-    const PendingProbe pp = q.front();
-    q.pop_front();
-    ASTRI_ASSERT_MSG(
-        pp.probe.page == notice.page,
-        "%s: ack for page %llx but the oldest in-flight probe is %llx",
-        fcName.c_str(),
-        static_cast<unsigned long long>(
-            mem::pageAddr(notice.page, cfg.pageBytes)),
-        static_cast<unsigned long long>(
-            mem::pageAddr(pp.probe.page, cfg.pageBytes)));
-    if (pp.sync) {
-        // The blocked requester already took the conservative
-        // estimate; the ack settles the hit/miss accounting.
-        (void)finishSyncMiss(pp.probe, notice.reply);
-        return;
-    }
-    const DcAccess out = finishMiss(pp.probe, notice.reply);
-    if (out.hit && notice.hasWaiter && onReady) {
-        // Evict-buffer hit: the requester parked a waiter on a miss
-        // response that turned out to be a hit — wake it at the hit's
-        // ready tick (the core clamps stale wakes to its own tick).
-        onReady(notice.page, out.ready,
-                std::vector<WaiterCookie>{notice.waiter});
     }
 }
 
@@ -436,18 +287,11 @@ FrontsideController::handleInstallReq(std::uint32_t shard,
 }
 
 void
-FrontsideController::pumpInstalls(std::uint32_t shard,
-                                  sim::Ticks eligible_until)
+FrontsideController::pumpInstalls(std::uint32_t shard)
 {
     auto &channel = *fromBc[shard];
-    const sim::Ticks lat = channel.contract().minLatency;
     while (!channel.empty()) {
-        if (channel.frontHeldByFreeze())
-            break;
         auto &st = channel.front();
-        if (eligible_until != sim::kTickNever &&
-            st.acceptedAt + lat > eligible_until)
-            break;
         const mem::PageNum page = st.msg.page;
         const sim::Ticks ready = st.msg.ready;
         std::vector<WaiterCookie> waiters = std::move(st.msg.waiters);
@@ -474,19 +318,6 @@ FrontsideController::regStats(sim::StatRegistry &reg) const
                         "footprint mispredictions on resident pages");
     reg.registerHistogram("hit_latency", &statsData.hitLatency,
                           "FC hit path latency in ticks");
-    if (cfg.fc.pipeline) {
-        // Pipeline-only backpressure stats: registering them only in
-        // that mode keeps the default stat tree byte-identical to the
-        // pre-split goldens.
-        reg.registerCounter("req_queue_stalls",
-                            &statsData.reqQueueStalls,
-                            "probes delayed by a full ack window");
-        reg.registerCounter("req_queue_stall_ticks",
-                            &statsData.reqQueueStallTicks,
-                            "total ack-window backpressure in ticks");
-        reg.registerUint("req_queue_peak", &statsData.reqQueuePeak,
-                         "maximum in-flight acks on one shard");
-    }
 }
 
 void
@@ -514,23 +345,9 @@ FrontsideController::checkInvariants(sim::InvariantChecker &chk) const
                       static_cast<unsigned long long>(
                           statsData.misses.value() +
                           statsData.missesMerged.value()));
-    if (cfg.fc.pipeline) {
-        // New pipeline-mode invariants are gated so the fused mode's
-        // invariant-condition count stays exactly the legacy one.
-        // reqQueuePeak records the deepest single shard queue (the
-        // stat models one FC FSM's backlog), so compare per shard.
-        std::size_t deepest = 0;
-        for (const auto &q : pendingAcks)
-            deepest = q.size() > deepest ? q.size() : deepest;
-        SIM_INVARIANT_MSG(chk,
-                          statsData.reqQueuePeak >= deepest,
-                          "%zu in-flight acks on one shard exceed "
-                          "the recorded peak %llu",
-                          deepest,
-                          static_cast<unsigned long long>(
-                              statsData.reqQueuePeak));
-        SIM_INVARIANT(chk, !ackValid);
-    }
+    // Sweeps run between events, never inside a drain chain, so no
+    // ack can be left latched.
+    SIM_INVARIANT(chk, !ackValid);
 }
 
 void

@@ -3,34 +3,17 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace_events.hh"
 
 namespace astriflash::core {
 
 System::System(const SystemConfig &config) : cfg(config)
 {
     cfg.applyKindDefaults();
-    if (cfg.hostJobs > 1 && !cfg.dramCache.fc.pipeline) {
-        // Merged partitioned run: every domain queue (main + BC
-        // shards, created in buildMemorySystem) shares one clock and
-        // one sequence space, the precondition for byte-identical
-        // merged execution (DESIGN.md §15). Pipelined runs keep the
-        // queues in separate exec groups with independent sequence
-        // spaces (DESIGN.md §17) and must NOT share a group.
-        eq.joinGroup(eqGroup);
-    }
     eq.setAuditor(&auditor);
     // Perturbed same-tick ordering (tools/detshake); seed 0 is the
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
     eq.setTiePerturbation(cfg.tieBreakSeed);
-    // The frontside domain owns the main queue: FC, cores, arrivals
-    // and the (passive) flash fabric all execute on it. BC shard
-    // domains are added as their queues are built (hostJobs > 1).
-    ownership.addDomain("fc", &eq);
-    // SimObjects constructed anywhere below resolve their owning
-    // domain from the queue they schedule on and declare themselves.
-    sim::OwnershipAuditor::Scope own_scope(ownAuditor);
     {
         // Channels built anywhere below self-register with this
         // system's auditor.
@@ -128,17 +111,8 @@ System::registerInvariants()
     invariants.add("eq", [this](sim::InvariantChecker &chk) {
         eq.checkInvariants(chk);
     });
-    for (std::size_t i = 0; i < bcQueues.size(); ++i) {
-        invariants.add("eq.bc" + std::to_string(i),
-                       [this, i](sim::InvariantChecker &chk) {
-                           bcQueues[i]->checkInvariants(chk);
-                       });
-    }
     invariants.add("causality", [this](sim::InvariantChecker &chk) {
         auditor.checkInvariants(chk);
-    });
-    invariants.add("ownership", [this](sim::InvariantChecker &chk) {
-        ownAuditor.checkInvariants(chk);
     });
     for (std::size_t c = 0; c < cores.size(); ++c) {
         SimCore *core = cores[c].get();
@@ -203,22 +177,16 @@ System::registerInvariants()
                 [this, i](sim::InvariantChecker &chk) {
                     dcache->installChannel(i).checkInvariants(chk);
                 });
-            // The rsp/ctl pair carries traffic in both modes, but
-            // registering it only for pipelined runs keeps the
-            // default config's invariant-condition count (part of the
-            // golden fingerprint) identical to the pre-split seed.
-            if (dcache->config().fc.pipeline) {
-                invariants.add(
-                    "dcache.bc_to_fc_rsp" + tag,
-                    [this, i](sim::InvariantChecker &chk) {
-                        dcache->rspChannel(i).checkInvariants(chk);
-                    });
-                invariants.add(
-                    "dcache.fc_to_bc_ctl" + tag,
-                    [this, i](sim::InvariantChecker &chk) {
-                        dcache->ctlChannel(i).checkInvariants(chk);
-                    });
-            }
+            invariants.add(
+                "dcache.bc_to_fc_rsp" + tag,
+                [this, i](sim::InvariantChecker &chk) {
+                    dcache->rspChannel(i).checkInvariants(chk);
+                });
+            invariants.add(
+                "dcache.fc_to_bc_ctl" + tag,
+                [this, i](sim::InvariantChecker &chk) {
+                    dcache->ctlChannel(i).checkInvariants(chk);
+                });
         }
     }
     if (flashDev) {
@@ -310,24 +278,8 @@ System::buildMemorySystem()
                                    cfg.dramCacheRatio),
         dc.ways * dc.pageBytes);
     cfg.dramCache = dc;
-    std::vector<sim::EventQueue *> bc_queues;
-    if (cfg.hostJobs > 1 || dc.fc.pipeline) {
-        for (std::uint32_t i = 0; i < dc.bc.shards; ++i) {
-            auto q = std::make_unique<sim::EventQueue>();
-            // Merged mode shares one clock + sequence space for the
-            // byte-identity guarantee; pipelined shards run in their
-            // own exec groups and keep private sequence counters.
-            if (!dc.fc.pipeline)
-                q->joinGroup(eqGroup);
-            q->setAuditor(&auditor);
-            q->setTiePerturbation(cfg.tieBreakSeed);
-            ownership.addDomain("bc" + std::to_string(i), q.get());
-            bc_queues.push_back(q.get());
-            bcQueues.push_back(std::move(q));
-        }
-    }
     dcache = std::make_unique<DramCache>(eq, "dramcache", dc, *flashDev,
-                                         *amap, bc_queues);
+                                         *amap);
 }
 
 mem::Addr
@@ -489,135 +441,6 @@ System::prewarm()
     }
 }
 
-void
-System::runParallel(sim::Ticks next_check)
-{
-    // Conservative engine over the channel-lookahead seam. The main
-    // queue (frontside + cores + arrivals) and each BC shard queue
-    // are distinct domains. In merged mode (pipeline off) all of them
-    // share one exec group: the fused-mode controllers complete each
-    // access in one synchronous call chain, and the merged-order
-    // execution is what keeps stats byte-identical to hostJobs=1
-    // (DESIGN.md §15). In pipelined mode every FC<->BC interaction is
-    // channel traffic drained by scheduled pumps, so each BC shard's
-    // domain gets its own exec group (1 + shards groups total) and
-    // the worker pool runs them concurrently (DESIGN.md §17).
-    const bool split = dcache && dcache->config().fc.pipeline;
-    sim::ParallelEngine::Config ec;
-    ec.hostJobs = cfg.hostJobs;
-    // Must match the legacy loop's runSteps(20000) burst: the stop
-    // condition is only evaluated at these boundaries, and stats keep
-    // accumulating until the boundary is reached.
-    ec.roundEvents = 20000;
-    sim::ParallelEngine engine(ec);
-    // Publish the executing domain thread-locally while the engine
-    // runs so instrumented callbacks can certify their ownership.
-    engine.setOwnership(&ownAuditor);
-
-    const auto fc_dom = engine.addDomain("fc", eq, 0);
-    // Facade message-domain index (0 = fc, 1+i = bc shard i) to
-    // engine DomainId. post() keys deterministic delivery on the
-    // posting domain, so the facade pre-binds one function per
-    // channel direction against this table.
-    std::vector<sim::ParallelEngine::DomainId> engine_dom{fc_dom};
-    if (dcache) {
-        const DramCacheConfig &dc = dcache->config();
-        const sim::ClockDomain clk(dc.controllerFreqHz);
-        const sim::Ticks op = clk.cycles(dc.bc.cyclesPerOp);
-        for (std::size_t i = 0; i < bcQueues.size(); ++i) {
-            const auto shard = static_cast<std::uint32_t>(i);
-            const auto bc_dom = engine.addDomain(
-                "bc" + std::to_string(i), *bcQueues[i],
-                split ? shard + 1 : 0);
-            engine_dom.push_back(bc_dom);
-            // Lookahead links mirror the channel contract manifest;
-            // the stamp watermarks tighten each horizon with the
-            // oldest in-flight message. The flash fabric is passive
-            // (submit() completes in the owning BC's chain), so
-            // bc_to_flash adds no domain of its own.
-            engine.addLink(fc_dom, bc_dom,
-                           op * dc.channels.fcToBcMinLatencyOps,
-                           [this, shard] {
-                               return dcache->missChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(bc_dom, fc_dom,
-                           op * dc.channels.bcToFcMinLatencyOps,
-                           [this, shard] {
-                               return dcache->installChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(bc_dom, fc_dom,
-                           op * dc.channels.bcToFcRspMinLatencyOps,
-                           [this, shard] {
-                               return dcache->rspChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(fc_dom, bc_dom,
-                           op * dc.channels.fcToBcCtlMinLatencyOps,
-                           [this, shard] {
-                               return dcache->ctlChannel(shard)
-                                   .stampWatermark();
-                           });
-        }
-    }
-    if (split) {
-        // Route the controllers' pump posts through the engine's
-        // cross-group mailboxes (delivered in deterministic order at
-        // the next barrier) instead of the facade's single-queue
-        // fallback.
-        dcache->setCrossPost(
-            [&engine, engine_dom](std::uint32_t src, std::uint32_t dst,
-                                  sim::Ticks when,
-                                  std::function<void()> fn) {
-                engine.post(engine_dom[src], engine_dom[dst], when,
-                            std::move(fn));
-            });
-    }
-
-    sim::ParallelEngine::RunHooks hooks;
-    hooks.stop = [this] {
-        return phase == Phase::Done ||
-               eq.curTick() >= cfg.maxSimTicks;
-    };
-    hooks.atBarrier = [this, next_check, split](sim::Ticks) mutable {
-        if (split) {
-            // Re-freeze the seam channels' drain windows: the next
-            // round's pumps drain exactly this barrier's queues, so
-            // the drained sets cannot depend on how producer and
-            // consumer workers interleave inside a round.
-            dcache->freezeSeamWindows();
-        }
-        if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
-            eq.curTick() >= next_check) {
-            invariants.checkAll(eq.curTick());
-            next_check = eq.curTick() + cfg.invariantInterval;
-        }
-    };
-    // Workers execute this system's events on the run owner's behalf;
-    // route their trace emissions into the owner's ring (--trace
-    // drains it after run()).
-    sim::Tracer *trace_sink = &sim::Tracer::instance();
-    hooks.workerInit = [trace_sink] {
-        sim::Tracer::redirectThread(trace_sink);
-    };
-
-    if (split) {
-        // Arm the first round's drain windows (atBarrier covers the
-        // rest).
-        dcache->freezeSeamWindows();
-    }
-    engine.run(hooks);
-    engineStatsData = engine.stats();
-    if (split) {
-        // The engine dies with this frame; put the self-scheduling
-        // fallback back so post-run draining (tests, quiesce sweeps)
-        // cannot call through a dangling reference.
-        dcache->setCrossPost(nullptr);
-        dcache->thawSeamWindows();
-    }
-}
-
 RunResults
 System::run()
 {
@@ -631,24 +454,15 @@ System::run()
     // events: a recurring event would keep the queue non-empty and
     // defeat quiesce-by-drain termination.
     sim::Ticks next_check = eq.curTick() + cfg.invariantInterval;
-    if (cfg.hostJobs > 1 || !bcQueues.empty()) {
-        // Partitioned (hostJobs > 1) and/or pipelined (--fc-pipeline
-        // builds per-shard queues even at hostJobs=1, run inline by a
-        // single-worker engine) execution.
-        runParallel(next_check);
-    } else {
-        // The legacy loop runs everything in the frontside domain
-        // (the only one that exists when the system is unpartitioned).
-        sim::OwnershipAuditor::ExecScope exec_scope(
-            ownership.domainOf(&eq));
-        while (phase != Phase::Done && !eq.empty() &&
-               eq.curTick() < cfg.maxSimTicks) {
-            eq.runSteps(20000);
-            if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
-                eq.curTick() >= next_check) {
-                invariants.checkAll(eq.curTick());
-                next_check = eq.curTick() + cfg.invariantInterval;
-            }
+    // The stop condition is evaluated only between 20000-event bursts,
+    // so a run's stats include the tail of the burst that finished it.
+    while (phase != Phase::Done && !eq.empty() &&
+           eq.curTick() < cfg.maxSimTicks) {
+        eq.runSteps(20000);
+        if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
+            eq.curTick() >= next_check) {
+            invariants.checkAll(eq.curTick());
+            next_check = eq.curTick() + cfg.invariantInterval;
         }
     }
     if (sim::checksEnabled())

@@ -14,6 +14,7 @@
 #ifndef ASTRIFLASH_CORE_SYSTEM_HH
 #define ASTRIFLASH_CORE_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,8 +26,6 @@
 #include "sim/causality.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
-#include "sim/ownership.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/stats.hh"
 #include "workload/workload.hh"
 
@@ -134,33 +133,6 @@ class System
     }
 
     /**
-     * Domain-ownership vocabulary (DESIGN.md §16): the partition
-     * table ("fc" = frontside + cores; "bc<i>" = one BC shard — and
-     * its fabric slice — when hostJobs > 1 or FcConfig::pipeline
-     * builds per-shard queues) plus every
-     * component and channel-endpoint declaration made against it.
-     */
-    sim::OwnershipRegistry &ownershipRegistry() { return ownership; }
-    const sim::OwnershipRegistry &ownershipRegistry() const
-    {
-        return ownership;
-    }
-
-    /**
-     * Ownership auditor certifying that instrumented callbacks run
-     * only in their owning domain, with cross-domain touches
-     * permitted only at barriers, through channels, or via the
-     * facade's pre-registered crossings. Armed with the checks gate;
-     * registered as the "ownership" invariant component. Counters are
-     * NOT in the stats tree (same rule as the causality auditor).
-     */
-    sim::OwnershipAuditor &ownershipAuditor() { return ownAuditor; }
-    const sim::OwnershipAuditor &ownershipAuditor() const
-    {
-        return ownAuditor;
-    }
-
-    /**
      * Replace the built-in generators with an external job source
      * (e.g. a workload::TraceReader). Must be set before run(); the
      * source is shared across cores and called in a deterministic
@@ -172,32 +144,8 @@ class System
     const SystemConfig &config() const { return cfg; }
     sim::EventQueue &eventQueue() { return eq; }
 
-    /** Per-BC-shard domain queues (empty unless hostJobs > 1 or
-     *  --fc-pipeline built a partitioned system). */
-    std::size_t domainQueueCount() const { return bcQueues.size(); }
-
-    /** Events executed across every domain queue (== the single
-     *  queue's count when unpartitioned). */
-    std::uint64_t
-    eventsExecuted() const
-    {
-        std::uint64_t total = eq.executed();
-        for (const auto &q : bcQueues)
-            total += q->executed();
-        return total;
-    }
-
-    /**
-     * Engine telemetry from the last run() (zeroes when the legacy
-     * hostJobs=1 loop ran). Deliberately NOT in the stats tree:
-     * host-parallelism bookkeeping must never move golden bytes, the
-     * same rule the causality auditor follows.
-     */
-    const sim::ParallelEngine::Stats &
-    engineStats() const
-    {
-        return engineStatsData;
-    }
+    /** Events executed by the system's event queue. */
+    std::uint64_t eventsExecuted() const { return eq.executed(); }
     DramCache *dramCache() { return dcache.get(); }
     flash::FlashFabric &flash() { return *flashDev; }
     const mem::AddressMap &addressMap() const { return *amap; }
@@ -243,9 +191,6 @@ class System
     void scheduleNextArrival();
     void beginMeasurement(sim::Ticks now);
 
-    /** Engine-driven event loop for hostJobs > 1 (see run()). */
-    void runParallel(sim::Ticks next_check);
-
     /** Build the component stat tree (end of construction). */
     void registerStats();
 
@@ -256,21 +201,7 @@ class System
     /** Declared before the event queue and every channel owner so it
      *  outlives all components that hold hooks into it. */
     sim::CausalityAuditor auditor;
-    /** Ownership vocabulary + runtime auditor, declared before the
-     *  queues and components for the same lifetime reason. */
-    sim::OwnershipRegistry ownership;
-    sim::OwnershipAuditor ownAuditor{ownership};
-    /** Shared clock/sequence state for the merged partitioned run:
-     *  the main queue and every BC shard queue join it when
-     *  hostJobs > 1 with the pipeline off, so the merged execution is
-     *  bit-identical to one queue. Pipelined shards stay out of it —
-     *  their exec groups keep independent sequence spaces. */
-    sim::EventQueueGroup eqGroup;
     sim::EventQueue eq;
-    /** Per-BC-shard domain queues (hostJobs > 1 or pipeline mode).
-     *  Built before the DramCache so the shards schedule onto them. */
-    std::vector<std::unique_ptr<sim::EventQueue>> bcQueues;
-    sim::ParallelEngine::Stats engineStatsData;
 
     std::unique_ptr<mem::AddressMap> amap;
     std::unique_ptr<mem::PageTableModel> ptModel;

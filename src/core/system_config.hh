@@ -109,16 +109,6 @@ struct SystemConfig {
      */
     std::uint64_t tieBreakSeed = 0;
 
-    /**
-     * Host worker threads for one run (--host-jobs). 1 (the default)
-     * is the legacy single-queue loop; > 1 partitions the system into
-     * per-BC-shard event-queue domains executed by the conservative
-     * sim::ParallelEngine over the channel-lookahead seam. Stats are
-     * byte-identical at every value (DESIGN.md §15) — the knob trades
-     * host threads, never simulated timing.
-     */
-    unsigned hostJobs = 1;
-
     /** Apply the per-kind knob settings (switch cost, policy, DP). */
     void applyKindDefaults();
 };

@@ -27,11 +27,9 @@
 #define ASTRIFLASH_SIM_BOUNDED_CHANNEL_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +37,6 @@
 #include "causality.hh"
 #include "invariant.hh"
 #include "logging.hh"
-#include "ownership.hh"
 #include "stats.hh"
 #include "ticks.hh"
 
@@ -69,17 +66,6 @@ class BoundedChannel
 
     /** Invoked after every push; consumers drain synchronously. */
     using DrainHook = std::function<void()>;
-
-    /**
-     * Invoked after every push with the message's accept tick.
-     * Pipelined consumers use it instead of a DrainHook: rather than
-     * draining in the producer's call chain, the hook schedules the
-     * consumer's pump at accept + the declared lookahead (through the
-     * engine's cross-group post mailbox when the endpoints live in
-     * different exec groups). The hook runs in the producer's
-     * execution context and must not touch consumer-owned state.
-     */
-    using NotifyHook = std::function<void(Ticks accept)>;
 
     /**
      * @param name      Instance name (stats, audit reports).
@@ -114,42 +100,14 @@ class BoundedChannel
     /** Declared determinism contract. */
     const ChannelContract &contract() const { return channelContract; }
 
-    /**
-     * Declare the endpoint domains alongside the ChannelContract
-     * (DESIGN.md §16): messages are pushed from @p producer and
-     * consumed in @p consumer. Reported to the attached
-     * OwnershipAuditor's registry so the channel seam is enumerable
-     * in the domain-coupling report.
-     */
-    void
-    declareEndpoints(DomainId producer, DomainId consumer)
-    {
-        producerDomain = producer;
-        consumerDomain = consumer;
-        if (OwnershipAuditor *a = OwnershipAuditor::current())
-            a->registry().declareChannel(chName, producer, consumer);
-    }
-
-    /** Declared producer domain (kNoDomain if undeclared). */
-    DomainId producerEndpoint() const { return producerDomain; }
-
-    /** Declared consumer domain (kNoDomain if undeclared). */
-    DomainId consumerEndpoint() const { return consumerDomain; }
-
     /** Messages pushed but not yet popped. */
-    bool
-    empty() const
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        return waiting.empty();
-    }
+    bool empty() const { return waiting.empty(); }
 
     /** Slots still owned by in-flight transactions at @p now. */
     std::uint32_t
     inFlight(Ticks now) const
     {
-        std::lock_guard<std::mutex> lk(chMu);
-        std::size_t busy = waiting.size() + pendingRelease.size();
+        std::size_t busy = waiting.size();
         for (const Ticks t : busyUntil) {
             if (t > now)
                 ++busy;
@@ -159,60 +117,6 @@ class BoundedChannel
 
     /** Backpressure signal: would a push at @p now stall? */
     bool wouldStall(Ticks now) const { return inFlight(now) >= cap; }
-
-    /**
-     * Close the drainable window at the current push sequence: pump
-     * loops refuse (frontHeldByFreeze()) entries pushed after this
-     * call until the next freeze. System calls it at every engine
-     * barrier in split mode so a consumer group's pumps drain exactly
-     * the barrier-time queue no matter how the producer's and
-     * consumer's workers interleave inside a round — the same set the
-     * sequential host-jobs=1 round order drains (DESIGN.md §17).
-     * Never called in fused or single-queue mode; the default window
-     * is unbounded.
-     */
-    void
-    freezeDrainWindow()
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        drainLimitSeq = lastSeq;
-        applyPendingReleases();
-        deferReleases = true;
-    }
-
-    /** Reopen the drain window (post-run quiesce draining). */
-    void
-    thawDrainWindow()
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        drainLimitSeq = ~std::uint64_t{0};
-        applyPendingReleases();
-        deferReleases = false;
-    }
-
-    /** Front entry exists but was pushed after the last freeze. */
-    bool
-    frontHeldByFreeze() const
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        return !waiting.empty() &&
-               waiting.front().seq > drainLimitSeq;
-    }
-
-    /**
-     * Stamp watermark: accept tick of the oldest un-popped message,
-     * or kTickNever when the channel is idle. Lock-free — a single
-     * atomic load — so a domain scheduler (sim::ParallelEngine
-     * horizon computation) on another host thread can read "earliest
-     * undelivered stamp" without taking the channel's mutation path.
-     * Combined with the declared lookahead it bounds the earliest
-     * consumer-side work this channel can still cause.
-     */
-    Ticks
-    stampWatermark() const
-    {
-        return watermark.load(std::memory_order_acquire);
-    }
 
     /**
      * Enqueue @p msg at @p now.
@@ -226,14 +130,8 @@ class BoundedChannel
     push(Msg msg, Ticks now)
     {
         Ticks accept = now;
-        {
-        std::lock_guard<std::mutex> lk(chMu);
         prune(now);
-        // Deferred releases still hold their slots: they free at the
-        // next barrier (deterministically), never mid-round.
-        const std::size_t occ = busyUntil.size() +
-                                pendingRelease.size() +
-                                waiting.size();
+        const std::size_t occ = busyUntil.size() + waiting.size();
         if (occ >= cap) {
             // Need (occ - cap + 1) slots back. Only popped slots have
             // known release ticks; un-popped ones would deadlock the
@@ -254,25 +152,17 @@ class BoundedChannel
             prune(accept);
         }
         statsData.pushes.inc();
-        const std::size_t live = busyUntil.size() +
-                                 pendingRelease.size() +
-                                 waiting.size() + 1;
+        const std::size_t live = busyUntil.size() + waiting.size() + 1;
         statsData.occupancy.sample(static_cast<double>(live));
         if (live > statsData.peakOccupancy)
             statsData.peakOccupancy = live;
         const std::uint64_t seq = ++lastSeq;
         waiting.push_back(Stamped{std::move(msg), now, accept, seq});
-        publishWatermark();
         if (auditor)
             auditor->onPush(auditId, seq, now, accept);
-        }
-        // Hooks run unlocked: the fused drain hook re-enters this
-        // channel, and the pipelined notify hook posts through the
-        // engine mailbox (its own lock).
+        // The drain hook re-enters this channel to consume the push.
         if (drainHook)
             drainHook();
-        if (notifyHook)
-            notifyHook(accept);
         return accept;
     }
 
@@ -280,10 +170,6 @@ class BoundedChannel
     Stamped &
     front()
     {
-        // The returned reference stays valid and unwritten under
-        // concurrent pushes: deque push_back never moves elements and
-        // only the (single) consumer pops.
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
                          chName.c_str());
         return waiting.front();
@@ -292,7 +178,6 @@ class BoundedChannel
     const Stamped &
     front() const
     {
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
                          chName.c_str());
         return waiting.front();
@@ -309,7 +194,6 @@ class BoundedChannel
     void
     dropFront(Ticks consumed_at, Ticks release_at)
     {
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: dropFront() on empty",
                          chName.c_str());
         if (auditor) {
@@ -318,18 +202,8 @@ class BoundedChannel
                                s.acceptedAt, consumed_at);
         }
         waiting.pop_front();
-        publishWatermark();
         statsData.pops.inc();
-        if (deferReleases) {
-            // Frozen (split) mode: the slot's release becomes visible
-            // to the producer at the next barrier, not mid-round —
-            // otherwise push-side occupancy samples and stall
-            // calculations would depend on whether the consumer
-            // worker's drop raced ahead of the producer's push.
-            pendingRelease.push_back(release_at);
-        } else {
-            busyUntil.push_back(release_at);
-        }
+        busyUntil.push_back(release_at);
     }
 
     /** dropFront() where consumption and slot release coincide. */
@@ -353,9 +227,6 @@ class BoundedChannel
     /** Install the consumer's synchronous drain hook. */
     void setDrainHook(DrainHook hook) { drainHook = std::move(hook); }
 
-    /** Install the consumer's pipelined push notification. */
-    void setNotifyHook(NotifyHook hook) { notifyHook = std::move(hook); }
-
     const Stats &stats() const { return statsData; }
 
     /**
@@ -368,7 +239,6 @@ class BoundedChannel
     void
     resetStats()
     {
-        std::lock_guard<std::mutex> lk(chMu);
         statsData.pushes.reset();
         statsData.pushes.inc(waiting.size());
         statsData.pops.reset();
@@ -404,7 +274,6 @@ class BoundedChannel
     void
     checkInvariants(InvariantChecker &chk) const
     {
-        std::lock_guard<std::mutex> lk(chMu);
         SIM_INVARIANT_MSG(chk,
                           statsData.pushes.value() ==
                               statsData.pops.value() + waiting.size(),
@@ -447,14 +316,6 @@ class BoundedChannel
         SIM_INVARIANT(chk,
                       statsData.peakOccupancy <=
                           statsData.pushes.value());
-        SIM_INVARIANT_MSG(chk,
-                          stampWatermark() ==
-                              (waiting.empty()
-                                   ? kTickNever
-                                   : waiting.front().acceptedAt),
-                          "%s: stamp watermark out of sync with the "
-                          "queue front",
-                          chName.c_str());
     }
 
   private:
@@ -466,49 +327,15 @@ class BoundedChannel
                       [now](Ticks t) { return t <= now; });
     }
 
-    /** Barrier sync: commit deferred slot releases (lock held). */
-    void
-    applyPendingReleases()
-    {
-        busyUntil.insert(busyUntil.end(), pendingRelease.begin(),
-                         pendingRelease.end());
-        pendingRelease.clear();
-    }
-
-    /** Mirror the front stamp after every queue mutation. */
-    void
-    publishWatermark()
-    {
-        watermark.store(waiting.empty() ? kTickNever
-                                        : waiting.front().acceptedAt,
-                        std::memory_order_release);
-    }
-
     std::string chName;
     std::uint32_t cap;
     ChannelContract channelContract;
     CausalityAuditor *auditor = nullptr;
     std::uint32_t auditId = 0;
-    DomainId producerDomain = kNoDomain;
-    DomainId consumerDomain = kNoDomain;
     std::uint64_t lastSeq = 0;
-    /** freezeDrainWindow() bound; unbounded until the first freeze. */
-    std::uint64_t drainLimitSeq = ~std::uint64_t{0};
     std::deque<Stamped> waiting;    ///< Pushed, not yet popped.
     std::vector<Ticks> busyUntil;   ///< Popped slots' release ticks.
-    /** Releases deferred to the next barrier while frozen. */
-    std::vector<Ticks> pendingRelease;
-    /** Set while the drain window is frozen (split mode). */
-    bool deferReleases = false;
-    /**
-     * Guards every queue/stat mutation and read: in split mode the
-     * producer's push and the consumer pump's front/dropFront run on
-     * different engine workers. Hooks are invoked outside it.
-     */
-    mutable std::mutex chMu;
-    std::atomic<Ticks> watermark{kTickNever};
     DrainHook drainHook;
-    NotifyHook notifyHook;
     Stats statsData;
 };
 

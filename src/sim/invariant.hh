@@ -192,6 +192,17 @@ class InvariantRegistry
     /** Registered components. */
     std::size_t size() const { return entries.size(); }
 
+    /** True if a hook is registered under @p component. */
+    bool
+    contains(const std::string &component) const
+    {
+        for (const Entry &e : entries) {
+            if (e.component == component)
+                return true;
+        }
+        return false;
+    }
+
     /** Completed sweeps. */
     std::uint64_t sweeps() const { return sweepCount; }
 

@@ -12,9 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/bounded_channel.hh"
@@ -49,6 +47,15 @@ auditFailures(const sim::BoundedChannel<Msg> &ch)
     sim::InvariantChecker chk;
     ch.checkInvariants(chk);
     return chk.failures();
+}
+
+/** Accept stamp of the oldest undelivered message in @p ch, or
+ *  kTickNever when idle: no consumer-side work can precede it. */
+template <typename Msg>
+sim::Ticks
+watermark(const sim::BoundedChannel<Msg> &ch)
+{
+    return ch.empty() ? sim::kTickNever : ch.front().acceptedAt;
 }
 
 } // namespace
@@ -344,27 +351,27 @@ TEST(BoundedChannel, ResetStatsMidFlightRebasesConservation)
 }
 
 // --------------------------------------------------------------------
-// Stamp watermark: the lock-free "earliest undelivered stamp" the
-// parallel engine's horizon computation reads from another thread.
+// Watermark: the accept stamp at the front of the queue, the earliest
+// tick the consumer can act on anything still in the channel.
 // --------------------------------------------------------------------
 
 TEST(BoundedChannel, WatermarkTracksTheFrontAcceptStamp)
 {
     sim::BoundedChannel<int> ch("ch", 4);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever); // idle
+    EXPECT_EQ(watermark(ch), sim::kTickNever); // idle
 
     ch.push(1, 10);
-    EXPECT_EQ(ch.stampWatermark(), 10u);
+    EXPECT_EQ(watermark(ch), 10u);
 
     // A later push does not move the watermark: it mirrors the OLDEST
     // undelivered message, which bounds the earliest consumer work.
     ch.push(2, 25);
-    EXPECT_EQ(ch.stampWatermark(), 10u);
+    EXPECT_EQ(watermark(ch), 10u);
 
     ch.dropFront(30);
-    EXPECT_EQ(ch.stampWatermark(), 25u);
+    EXPECT_EQ(watermark(ch), 25u);
     ch.dropFront(40);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever); // idle again
+    EXPECT_EQ(watermark(ch), sim::kTickNever); // idle again
     EXPECT_EQ(auditFailures(ch), 0u);
 }
 
@@ -375,12 +382,13 @@ TEST(BoundedChannel, WatermarkCarriesTheStalledAcceptTick)
     ch.dropFront(50); // slot busy to tick 50
 
     // The stalled push is accepted at 50, and it is the accept stamp —
-    // not the push tick — the watermark must publish: no consumer-side
-    // work can precede the tick the message actually entered.
+    // not the push tick — the front carries: no consumer-side work can
+    // precede the tick the message actually entered.
     EXPECT_EQ(ch.push(2, 10), 50u);
-    EXPECT_EQ(ch.stampWatermark(), 50u);
+    EXPECT_EQ(watermark(ch), 50u);
+    EXPECT_EQ(ch.front().pushedAt, 10u);
     ch.dropFront(60);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
+    EXPECT_EQ(watermark(ch), sim::kTickNever);
     EXPECT_EQ(auditFailures(ch), 0u);
 }
 
@@ -390,70 +398,22 @@ TEST(BoundedChannel, WatermarkSurvivesResetStatsMidFlight)
     ch.push(1, 10);
     ch.push(2, 20);
     ch.dropFront(25);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
+    EXPECT_EQ(watermark(ch), 20u);
 
     // The warmup-boundary reset rebases the counters, but the
-    // watermark mirrors queue contents, not statistics: the horizon
-    // computation on another thread must keep seeing the true oldest
-    // undelivered stamp across the reset.
+    // watermark mirrors queue contents, not statistics: it must keep
+    // the true oldest undelivered stamp across the reset.
     ch.resetStats();
     EXPECT_EQ(ch.stats().pushes.value(), 1u);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
+    EXPECT_EQ(watermark(ch), 20u);
     EXPECT_EQ(auditFailures(ch), 0u);
 
     // Messages pushed after the reset keep following the front.
     ch.push(3, 35);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
+    EXPECT_EQ(watermark(ch), 20u);
     ch.dropFront(40);
-    EXPECT_EQ(ch.stampWatermark(), 35u);
+    EXPECT_EQ(watermark(ch), 35u);
     ch.dropFront(50);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkIsReadableFromAnotherThread)
-{
-    // The engine's horizon computation reads stampWatermark() from a
-    // worker thread while the producer's thread mutates the queue —
-    // the one cross-thread access the channel supports. Exercise that
-    // pairing under load so the TSan job certifies the release-store /
-    // acquire-load protocol: every value the reader observes must be a
-    // stamp the producer actually published (or idle), never a torn or
-    // stale-beyond-reuse value.
-    sim::BoundedChannel<int> ch("ch", 8);
-    constexpr sim::Ticks kRounds = 2000;
-
-    std::atomic<bool> stop{false};
-    std::vector<sim::Ticks> seen;
-    std::thread reader([&ch, &stop, &seen] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const sim::Ticks w = ch.stampWatermark();
-            if (seen.empty() || seen.back() != w)
-                seen.push_back(w);
-        }
-    });
-
-    // Owner thread: monotonic push/drain cycles; accept stamps are
-    // exactly the push ticks (the channel never fills at depth 8 with
-    // an immediate drop).
-    for (sim::Ticks t = 1; t <= kRounds; ++t) {
-        ch.push(static_cast<int>(t), 10 * t);
-        ch.dropFront(10 * t);
-    }
-    stop.store(true, std::memory_order_relaxed);
-    reader.join();
-
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
-    sim::Ticks prev = 0;
-    for (const sim::Ticks w : seen) {
-        if (w == sim::kTickNever)
-            continue;
-        // Published stamps are multiples of 10 in-range, and the
-        // front never moves backwards.
-        EXPECT_EQ(w % 10, 0u);
-        EXPECT_GE(w, prev);
-        EXPECT_LE(w, 10 * kRounds);
-        prev = w;
-    }
+    EXPECT_EQ(watermark(ch), sim::kTickNever);
     EXPECT_EQ(auditFailures(ch), 0u);
 }

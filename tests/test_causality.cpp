@@ -11,11 +11,14 @@
  * and runs death tests, so it must not share a process with timing
  * suites. The whole-system certification runs a committed golden
  * configuration under audit and requires zero violations with nonzero
- * audit traffic.
+ * audit traffic; every golden case then runs armed, with the
+ * bc_to_fc_rsp / fc_to_bc_ctl invariant hooks registered, and must
+ * stay byte-identical to its committed golden file.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "sim/bounded_channel.hh"
@@ -235,3 +238,64 @@ TEST(CausalitySystem, GoldenConfigCertifiesCleanUnderAudit)
     EXPECT_GE(auditor.sendsAudited(), auditor.deliveriesAudited());
     EXPECT_GT(auditor.eventsAudited(), 0u);
 }
+
+// --------------------------------------------------------------------
+// Every golden case runs clean under the armed auditor and invariant
+// sweeps, audits the rsp/ctl channels, and keeps its golden bytes.
+// Ownership holds by construction: one queue runs every component, so
+// each callback already executes in its owning domain.
+// --------------------------------------------------------------------
+
+namespace {
+
+class OwnershipGolden : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+} // namespace
+
+TEST_P(OwnershipGolden, ArmedAuditorIsCleanAndByteIdentical)
+{
+    ScopedChecks armed(true);
+    const GoldenCase &gc = GetParam();
+    System sys(goldenCaseConfig(gc));
+    sys.invariantRegistry().setFailFast(false);
+    sys.causalityAuditor().setFailFast(false);
+    const RunResults r = sys.run();
+
+    EXPECT_GT(r.invariantSweeps, 0u);
+    EXPECT_EQ(r.invariantViolations, 0u)
+        << sys.invariantRegistry().report();
+    EXPECT_EQ(sys.causalityAuditor().violationCount(), 0u);
+
+    // The response/control pair carries every miss ack, install
+    // request and install grant; its hooks are armed on every shard.
+    const DramCache *dc = sys.dramCache();
+    ASSERT_NE(dc, nullptr);
+    for (std::uint32_t i = 0; i < dc->shardCount(); ++i) {
+        const std::string tag =
+            dc->shardCount() == 1 ? std::string{} : std::to_string(i);
+        EXPECT_TRUE(sys.invariantRegistry().contains(
+            "dcache.bc_to_fc_rsp" + tag));
+        EXPECT_TRUE(sys.invariantRegistry().contains(
+            "dcache.fc_to_bc_ctl" + tag));
+        EXPECT_GT(dc->rspChannel(i).stats().pushes.value(), 0u);
+        EXPECT_GT(dc->ctlChannel(i).stats().pushes.value(), 0u);
+        EXPECT_TRUE(dc->rspChannel(i).empty());
+        EXPECT_TRUE(dc->ctlChannel(i).empty());
+    }
+
+    // Arming checks never moves the golden bytes: the auditor's
+    // counters and the invariant hooks live outside the stats tree.
+    std::ostringstream out;
+    writeGoldenJson(out, gc, r, sys);
+    const std::string want = readGoldenFile(ASTRI_GOLDEN_DIR, gc.name);
+    ASSERT_FALSE(want.empty()) << "missing golden file for " << gc.name;
+    EXPECT_EQ(out.str(), want) << "armed run moved " << gc.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCases, OwnershipGolden, ::testing::ValuesIn(kGoldenCases),
+    [](const ::testing::TestParamInfo<GoldenCase> &info) {
+        return std::string(info.param.name);
+    });

@@ -29,7 +29,8 @@ struct Rig {
     std::vector<std::pair<mem::PageNum, std::vector<WaiterCookie>>>
         ready;
 
-    explicit Rig(std::uint32_t msr_sets = 16, std::uint32_t msr_ways = 4)
+    explicit Rig(std::uint32_t msr_sets = 16, std::uint32_t msr_ways = 4,
+                 const ChannelConfig &channels = {})
     {
         fcfg = flash::FlashConfig::forCapacity(512 << 20);
         flash = std::make_unique<flash::FlashDevice>(
@@ -38,6 +39,7 @@ struct Rig {
         cfg.capacityBytes = 2 << 20; // 512 page frames
         cfg.bc.msrSets = msr_sets;
         cfg.bc.msrEntriesPerSet = msr_ways;
+        cfg.channels = channels;
         dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
@@ -300,4 +302,152 @@ TEST(DramCache, HitRatioComputed)
     rig.dc->access(rig.pa(0), false, 0, 1);
     rig.dc->access(rig.pa(99), false, 0, 1);
     EXPECT_DOUBLE_EQ(rig.dc->fcStats().hitRatio(), 0.5);
+}
+
+// --------------------------------------------------------------------
+// FC miss pipeline: probe -> miss channel -> backside -> ack on the
+// response channel. The FC latches exactly one ack per miss push
+// (takeAck() hard-asserts it), so a lost or reordered ack aborts.
+// --------------------------------------------------------------------
+
+TEST(FcPipeline, SameTickProbesKeepFifoAckOrder)
+{
+    Rig rig;
+    constexpr unsigned kProbes = 4;
+    for (unsigned i = 0; i < kProbes; ++i) {
+        const auto r = rig.dc->access(rig.pa(3 + i), false, 0, i + 1);
+        // Each probe got its own ack inside its push and answered
+        // with the early miss response.
+        EXPECT_FALSE(r.hit);
+        EXPECT_LT(r.ready, microseconds(1));
+        EXPECT_EQ(rig.dc->outstandingMisses(), i + 1);
+        EXPECT_TRUE(rig.dc->missChannel().empty());
+    }
+
+    rig.eq.run();
+
+    // Every ack retired its own miss; fills woke waiters in page order
+    // because equal-latency reads complete in issue order.
+    EXPECT_EQ(rig.dc->fcStats().misses.value(), kProbes);
+    EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
+    ASSERT_EQ(rig.ready.size(), kProbes);
+    for (unsigned i = 0; i < kProbes; ++i) {
+        ASSERT_EQ(rig.ready[i].second.size(), 1u);
+        EXPECT_EQ(rig.ready[i].second[0], i + 1);
+    }
+    EXPECT_TRUE(rig.dc->rspChannel().empty());
+    EXPECT_TRUE(rig.dc->ctlChannel().empty());
+}
+
+TEST(FcPipeline, ProbeIssuedAtAckTickStaysOrdered)
+{
+    Rig rig;
+    rig.dc->access(rig.pa(3), false, 0, 1);
+
+    // Issue a second probe at every rsp-channel activity tick the
+    // first miss produces: these are exactly where a same-tick
+    // probe-issue could slip ahead of a probe-response.
+    const Ticks lat = rig.dc->rspChannel().contract().minLatency;
+    std::vector<Ticks> issue_at;
+    for (Ticks t = lat; t <= 4 * lat; t += lat)
+        issue_at.push_back(t);
+    unsigned issued = 0;
+    for (const Ticks t : issue_at) {
+        rig.eq.schedule(t, [&rig, &issued, t]() {
+            rig.dc->access(rig.pa(100 + issued), false, t,
+                           50 + issued);
+            ++issued;
+        });
+    }
+
+    rig.eq.run();
+
+    // All probes resolved (takeAck asserts one ack per push) and
+    // every miss was eventually installed and reported ready.
+    EXPECT_EQ(issued, issue_at.size());
+    EXPECT_EQ(rig.dc->fcStats().misses.value() +
+                  rig.dc->fcStats().missesMerged.value(),
+              1 + issue_at.size());
+    EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
+    EXPECT_EQ(rig.ready.size(), 1 + issue_at.size());
+}
+
+TEST(FcPipeline, PendingDepthOneChargesBackpressureStats)
+{
+    // A miss channel of depth one admits one pending miss: each slot
+    // is held until its install completes.
+    ChannelConfig ch;
+    ch.fcToBcDepth = 1;
+    Rig rig(16, 4, ch);
+
+    constexpr unsigned kProbes = 3;
+    Ticks prev_ready = 0;
+    for (unsigned i = 0; i < kProbes; ++i) {
+        const auto r = rig.dc->access(rig.pa(3 + i), false, 0, i + 1);
+        EXPECT_FALSE(r.hit);
+        // Each excess probe is accepted only once the previous miss
+        // released its slot, so its response lands strictly later.
+        EXPECT_GT(r.ready, prev_ready);
+        prev_ready = r.ready;
+    }
+    // Probes 2 and 3 found the window full and were charged for it.
+    EXPECT_EQ(rig.dc->missChannel().stats().fullStalls.value(),
+              kProbes - 1);
+    EXPECT_GT(rig.dc->missChannel().stats().stallTicks.value(), 0u);
+
+    rig.eq.run();
+    EXPECT_EQ(rig.dc->fcStats().misses.value(), kProbes);
+    EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
+    EXPECT_EQ(rig.ready.size(), kProbes);
+}
+
+TEST(FcPipeline, DepthOneChannelsSerializeWithoutLoss)
+{
+    // The narrowest legal window on every FC<->BC channel.
+    ChannelConfig ch;
+    ch.fcToBcDepth = 1;
+    ch.bcToFcDepth = 1;
+    ch.bcToFcRspDepth = 1;
+    ch.fcToBcCtlDepth = 1;
+    Rig rig(16, 4, ch);
+
+    // Spaced misses: each round trip (miss -> ack -> install request
+    // -> grant -> completion) recycles every slot before the next.
+    constexpr unsigned kSpaced = 8;
+    unsigned issued = 0;
+    for (unsigned i = 0; i < kSpaced; ++i) {
+        rig.eq.schedule(microseconds(200) * i, [&rig, &issued] {
+            rig.dc->access(rig.pa(3 + issued), false,
+                           rig.eq.curTick(), issued + 1);
+            ++issued;
+        });
+    }
+    rig.eq.run();
+    EXPECT_EQ(issued, kSpaced);
+    EXPECT_EQ(rig.dc->missChannel().stats().fullStalls.value(), 0u);
+
+    // A same-tick burst, once every earlier slot has drained: the
+    // single miss slot is held until each install completes, so every
+    // later miss waits for it.
+    const Ticks t0 = rig.eq.curTick() + microseconds(200);
+    Ticks prev_ready = 0;
+    for (unsigned i = 0; i < 3; ++i) {
+        const DcAccess r =
+            rig.dc->access(rig.pa(100 + i), false, t0, 50 + i);
+        EXPECT_FALSE(r.hit);
+        EXPECT_GT(r.ready, prev_ready);
+        prev_ready = r.ready;
+    }
+    EXPECT_EQ(rig.dc->missChannel().stats().fullStalls.value(), 2u);
+    rig.eq.run();
+
+    // Nothing dropped: every miss installed and woke its waiter.
+    EXPECT_EQ(rig.dc->fcStats().misses.value(), kSpaced + 3);
+    EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
+    EXPECT_EQ(rig.ready.size(), kSpaced + 3);
+    EXPECT_TRUE(rig.dc->missChannel().empty());
+    EXPECT_TRUE(rig.dc->rspChannel().empty());
+    EXPECT_TRUE(rig.dc->ctlChannel().empty());
+    EXPECT_TRUE(rig.dc->installChannel().empty());
+    EXPECT_TRUE(rig.dc->flashChannel().empty());
 }

@@ -474,56 +474,8 @@ TEST(EventQueuePerturbationDeath, NonzeroSeedFatalWhenCompiledOut)
 }
 
 // --------------------------------------------------------------------
-// Exec-group support: shared clock/sequence state and the head-key
-// probe the parallel engine's K-way merge is built on.
+// Head-key probe: peek at the next runnable event without running it.
 // --------------------------------------------------------------------
-
-TEST(EventQueueGroupState, MembersShareClockAndSequenceSpace)
-{
-    EventQueueGroup group;
-    EventQueue a;
-    EventQueue b;
-    a.joinGroup(group);
-    b.joinGroup(group);
-    EXPECT_EQ(a.groupKey(), b.groupKey());
-    EXPECT_NE(a.groupKey(), EventQueue{}.groupKey());
-
-    // Executing on one member advances every member's clock.
-    a.schedule(40, [] {});
-    a.runSteps(1);
-    EXPECT_EQ(a.curTick(), 40u);
-    EXPECT_EQ(b.curTick(), 40u);
-
-    // scheduleIn() on the idle member is relative to the shared now.
-    std::vector<int> order;
-    b.scheduleIn(5, [&order] { order.push_back(1); });
-    b.runSteps(1);
-    EXPECT_EQ(b.curTick(), 45u);
-    EXPECT_EQ(order, (std::vector<int>{1}));
-}
-
-TEST(EventQueueGroupState, SharedSequenceBreaksCrossQueueTies)
-{
-    // Two members schedule at the same (when, prio); the shared
-    // counter makes global insertion order the tie break, exactly as
-    // if one queue held both events.
-    EventQueueGroup group;
-    EventQueue a;
-    EventQueue b;
-    a.joinGroup(group);
-    b.joinGroup(group);
-
-    EventQueue::HeadKey ka;
-    EventQueue::HeadKey kb;
-    a.schedule(10, [] {});
-    b.schedule(10, [] {});
-    ASSERT_TRUE(a.headKey(ka));
-    ASSERT_TRUE(b.headKey(kb));
-    EXPECT_EQ(ka.when, kb.when);
-    EXPECT_EQ(ka.prio, kb.prio);
-    EXPECT_TRUE(ka < kb); // a scheduled first on the shared counter
-    EXPECT_FALSE(kb < ka);
-}
 
 TEST(EventQueue, HeadKeyDescribesTheNextPoppedEvent)
 {

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -30,19 +29,6 @@ using namespace astriflash::core;
 using namespace astriflash::tools;
 
 namespace {
-
-/** Whole-file slurp; fails the test if the golden file is missing. */
-std::string
-readGolden(const std::string &case_name)
-{
-    const std::string path =
-        std::string(ASTRI_GOLDEN_DIR) + "/" + case_name + ".json";
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "missing golden file " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 /** First line where @p got diverges from @p want, for the report. */
 std::string
@@ -85,8 +71,8 @@ TEST_P(FcBcSplit, GoldenStatsStayByteIdentical)
     std::ostringstream out;
     writeGoldenJson(out, gc, r, sys);
 
-    const std::string want = readGolden(gc.name);
-    ASSERT_FALSE(want.empty());
+    const std::string want = readGoldenFile(ASTRI_GOLDEN_DIR, gc.name);
+    ASSERT_FALSE(want.empty()) << "missing golden file for " << gc.name;
     EXPECT_EQ(out.str(), want)
         << "FC/BC split perturbed case " << gc.name
         << "; first divergence at " << firstDivergence(want, out.str());

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -287,35 +286,30 @@ TEST(ZnsDevice, ReadsStayConsistentAcrossRelocation)
 
 namespace {
 
-std::string
-readGolden(const std::string &case_name)
-{
-    const std::string path =
-        std::string(ASTRI_GOLDEN_DIR) + "/" + case_name + ".json";
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "missing golden file " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 class ShardFabricGolden
     : public ::testing::TestWithParam<tools::GoldenCase>
 {
 };
+
+/** The unsharded golden cases. Sharded ones pin their shard/device
+ *  counts as part of their golden identity, so forcing the
+ *  single-shard defaults would test a different configuration. */
+std::vector<tools::GoldenCase>
+singleShardCases()
+{
+    std::vector<tools::GoldenCase> out;
+    for (const tools::GoldenCase &gc : tools::kGoldenCases) {
+        if (gc.shards == 1)
+            out.push_back(gc);
+    }
+    return out;
+}
 
 } // namespace
 
 TEST_P(ShardFabricGolden, ExplicitSingleShardFtlIsByteIdentical)
 {
     const tools::GoldenCase &gc = GetParam();
-    if (gc.split) {
-        // Split cases pin shards=4/devices=4 as part of their golden
-        // identity; forcing the single-shard defaults would test a
-        // different configuration than the committed file.
-        GTEST_SKIP() << "split cases define their own shard/device "
-                        "partition";
-    }
 
     SystemConfig cfg = tools::goldenCaseConfig(gc);
     // Spell out what the defaults imply: one BC shard, one FTL device
@@ -331,15 +325,16 @@ TEST_P(ShardFabricGolden, ExplicitSingleShardFtlIsByteIdentical)
     std::ostringstream out;
     tools::writeGoldenJson(out, gc, r, sys);
 
-    const std::string want = readGolden(gc.name);
-    ASSERT_FALSE(want.empty());
+    const std::string want =
+        tools::readGoldenFile(ASTRI_GOLDEN_DIR, gc.name);
+    ASSERT_FALSE(want.empty()) << "missing golden file for " << gc.name;
     EXPECT_EQ(out.str(), want)
         << "sharded facade perturbed case " << gc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllTortureConfigs, ShardFabricGolden,
-    ::testing::ValuesIn(tools::kGoldenCases),
+    ::testing::ValuesIn(singleShardCases()),
     [](const ::testing::TestParamInfo<tools::GoldenCase> &info) {
         return std::string(info.param.name);
     });

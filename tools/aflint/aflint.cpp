@@ -67,53 +67,31 @@
  *   AF018  sim::BoundedChannel constructed without a declared
  *          ChannelContract: every channel must state its minimum
  *          push-to-consume latency (the lookahead manifest) so the
- *          causality auditor can certify it and a conservative
- *          parallel engine could schedule against it.
- *   AF019  scheduling through another component's eventQueue()
- *          accessor in src/ (outside src/sim/): under the domain
- *          partition (DESIGN.md §15) each EventQueue belongs to one
- *          domain, so `other.eventQueue().schedule(...)` injects
- *          work into a queue that may be executing on a different
- *          host thread. Components schedule only on their own held
- *          queue reference; cross-domain work crosses a contracted
- *          BoundedChannel (or ParallelEngine::post).
+ *          causality auditor can certify it.
  *
- * v4 adds cross-TU domain-ownership rules (DESIGN.md §16). A second
- * global pass builds a member/call access map from the class bodies in
- * src/ headers, assigns each known component class to its execution
- * domain ("fc" = frontside + cores + facade + fabric, "bc" = backside
- * shard), and flags state and call paths that escape the domain
- * partition — the exact couplings that force System to fuse every
- * domain into one exec group:
+ * v4 adds cross-TU FC/BC seam rules (DESIGN.md §11). A second global
+ * pass builds a member/call access map from the class bodies in src/
+ * headers, assigns each known component class to its side of the
+ * controller split ("fc" = frontside + cores + facade, "bc" =
+ * backside shard + MSR + evict buffer + flash fabric), and flags state
+ * and call paths that reach across the seam outside the two
+ * controllers' own files, where AF013 does not look:
  *
  *   AF020  a component class holding a raw pointer/reference to a
- *          component owned by a different domain. The channel seam
+ *          component owned by the other side. The channel seam
  *          (sim::BoundedChannel members) and the DramCache facade
  *          (dram_cache.*, the allowlisted composition point) are
  *          exempt.
  *   AF021  a direct call of a method attributable to exactly one
  *          controller (FrontsideController / BacksideController)
  *          from outside that controller's own files and outside
- *          dram_cache.*'s allowlisted pump: such calls cross the
- *          FC<->BC domain boundary synchronously, bypassing the
- *          channels.
- *   AF022  mutable shared state reachable from two domains without an
+ *          dram_cache.*'s allowlisted composition: such calls cross
+ *          the FC<->BC seam synchronously, bypassing the channels.
+ *   AF022  mutable shared state reachable from both sides without an
  *          owning declaration: a non-component type held by value or
- *          reference from classes in more than one domain, where a
- *          mutable reference holder's domain differs from the value
- *          owner's (page tags, DRAM model, footprint masks — the
- *          measured worklist of the exec-group split).
- *   AF023  a ParallelEngine::addLink watermark lambda capturing
- *          foreign-domain state by reference: the sanctioned pattern
- *          reads a channel's lock-free stamp watermark (acquire
- *          load), never a by-reference capture of mutable state.
- *
- * `--ownership-report=PREFIX` additionally writes the measured
- * domain-coupling graph (PREFIX.json + PREFIX.dot) enumerating every
- * synchronous FC<->BC edge: allowlisted facade calls, cross-domain
- * shared-state holders (including baselined ones), channel-seam
- * members, and watermark lambdas. DESIGN.md §16 commits this as the
- * exec-group-split worklist.
+ *          reference from classes on both sides, where a mutable
+ *          reference holder's side differs from the value owner's (page tags, DRAM model, footprint masks are
+ *          fc-owned; the backside sees them only through messages).
  *
  * Comments and string literals are stripped (newlines preserved)
  * before matching, so prose never trips a rule. Intentional
@@ -180,7 +158,6 @@ struct Options {
     std::vector<std::string> paths; ///< Scan roots relative to root.
     std::string sinceRef;           ///< Diff mode: scan changed files.
     std::string baselinePath;       ///< Override baseline location.
-    std::string reportPrefix;       ///< --ownership-report=PREFIX.
     bool json = false;
     bool defaultExcludes = true;
     bool noBaseline = false;
@@ -1290,8 +1267,7 @@ checkMutableStaticState(const std::vector<Token> &all_toks,
  * AF018: every sim::BoundedChannel construction must declare its
  * ChannelContract (the lookahead manifest): a two-argument
  * construction takes the default contract of zero minimum latency,
- * which certifies nothing and would stall a conservative parallel
- * engine. Matches direct `BoundedChannel<T>(...)` constructions and
+ * which certifies nothing. Matches direct `BoundedChannel<T>(...)` constructions and
  * `make_unique<...BoundedChannel<T>>(...)`.
  */
 void
@@ -1343,67 +1319,22 @@ checkChannelContractDeclared(const std::vector<Token> &toks,
     }
 }
 
-/**
- * AF019: `<expr>.eventQueue().schedule(...)` (or -> forms) from src/
- * outside src/sim/. The accessor names SOMEBODY's queue — under the
- * domain partition possibly one executing on another host thread —
- * so scheduling through it bypasses both the channel seam and the
- * engine's deterministic post mailbox. The kernel layer itself
- * (src/sim/, which implements queues, engines, and SimObject) is
- * exempt.
- */
-void
-checkCrossDomainScheduling(const std::vector<Token> &toks,
-                           const std::string &file,
-                           const Suppressions &sup,
-                           std::vector<Finding> &out)
-{
-    for (std::size_t i = 0; i + 4 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "eventQueue") || !tokIs(toks, i + 1, "(") ||
-            !tokIs(toks, i + 2, ")"))
-            continue;
-        // `.` is one token; `->` tokenizes as `-` `>`.
-        std::size_t callee = 0;
-        if (tokIs(toks, i + 3, "."))
-            callee = i + 4;
-        else if (tokIs(toks, i + 3, "-") && tokIs(toks, i + 4, ">"))
-            callee = i + 5;
-        if (callee == 0)
-            continue;
-        if (!tokIs(toks, callee, "schedule") &&
-            !tokIs(toks, callee, "scheduleIn"))
-            continue;
-        if (!tokIs(toks, callee + 1, "("))
-            continue;
-        const int line = toks[i].line;
-        if (sup.allows(line, "AF019"))
-            continue;
-        out.push_back(
-            {file, line, "AF019",
-             "scheduling through an eventQueue() accessor injects "
-             "work into another domain's queue; schedule on the "
-             "component's own queue reference, and cross domains "
-             "only via a contracted channel (DESIGN.md §15)"});
-    }
-}
-
 /*
  * ---------------------------------------------------------------------
- * Domain-ownership analysis (AF020..AF023, DESIGN.md §16).
+ * FC/BC seam analysis (AF020..AF022, DESIGN.md §11).
  *
  * Resolved across the whole scan, like AF015: class bodies in src/
  * headers contribute members and method declarations, every src/ file
- * contributes call sites and addLink lambdas, and the rules are judged
- * after the file loop (resolveOwnership). The component→domain table
- * mirrors the runtime partition System builds: the frontside queue
- * owns the cores, the FC and the facade's value-owned shared
- * structures; each backside shard's queue owns one BC with its MSR,
- * evict buffer and flash-fabric slice (flash submit() runs in the
- * owning BC's event chain, never the frontside's).
+ * contributes call sites, and the rules are judged after the file loop
+ * (resolveOwnership). The component→side table mirrors the controller
+ * split: the frontside owns the cores, the FC and the facade's
+ * value-owned shared structures; each backside shard owns one BC with
+ * its MSR, evict buffer and flash-fabric slice (flash submit() runs in
+ * the owning BC's call chain, never the frontside's).
  * ---------------------------------------------------------------------
  */
 
-/** Execution domain of a known component class (nullptr otherwise). */
+/** Side of a known component class (nullptr otherwise). */
 const char *
 componentDomain(const std::string &cls)
 {
@@ -1426,7 +1357,7 @@ baseStartsWith(const std::string &rel, const char *stem)
     return base.rfind(stem, 0) == 0;
 }
 
-/** Execution domain of a src/ file (nullptr when not attributable). */
+/** Side of a src/ file (nullptr when not attributable). */
 const char *
 fileDomain(const std::string &rel)
 {
@@ -1466,29 +1397,6 @@ struct OwnershipState {
         bool suppressed = false;
     };
     std::vector<Call> calls;
-
-    /** An addLink(...) lambda argument (the watermark provider). */
-    struct Watermark {
-        std::string file;
-        int line = 0;
-        bool refCapture = false;    ///< Capture list contains '&'.
-        bool usesWatermark = false; ///< Body calls stampWatermark().
-        bool suppressed = false;
-    };
-    std::vector<Watermark> watermarks;
-
-    // Report-side edges, filled during resolution (deliberately
-    // including baselined findings: the report is the worklist).
-    struct SyncEdge {
-        std::string method, callee, file;
-        int line = 0;
-    };
-    std::vector<SyncEdge> syncEdges; ///< Facade-allowlisted calls.
-    struct SharedEdge {
-        std::string type, holder, member, domain, owner, file;
-        int line = 0;
-    };
-    std::vector<SharedEdge> sharedEdges; ///< Cross-domain mutable refs.
 };
 
 OwnershipState g_own;
@@ -1689,7 +1597,7 @@ collectOwnershipClasses(const std::vector<Token> &toks,
     }
 }
 
-/** Phase-1 collection over every src/ file: calls + addLink lambdas. */
+/** Phase-1 collection over every src/ file: call sites. */
 void
 collectOwnershipUses(const std::vector<Token> &toks,
                      const std::string &rel, const Suppressions &sup)
@@ -1708,48 +1616,10 @@ collectOwnershipUses(const std::vector<Token> &toks,
                 {rel, toks[callee].text, toks[callee].line,
                  sup.allows(toks[callee].line, "AF021")});
         }
-        if (!tokIs(toks, i, "addLink") || !tokIs(toks, i + 1, "("))
-            continue;
-        int d = 0;
-        for (std::size_t k = i + 1; k < toks.size(); ++k) {
-            const std::string &x = toks[k].text;
-            if (x == "(") {
-                ++d;
-            } else if (x == ")") {
-                if (--d == 0)
-                    break;
-            } else if (x == "[" && d == 1) {
-                // A lambda argument: the watermark provider.
-                OwnershipState::Watermark w;
-                w.file = rel;
-                w.line = toks[k].line;
-                w.suppressed = sup.allows(w.line, "AF023");
-                std::size_t p = k + 1;
-                for (; p < toks.size() && toks[p].text != "]"; ++p) {
-                    if (toks[p].text == "&")
-                        w.refCapture = true;
-                }
-                while (p < toks.size() && toks[p].text != "{")
-                    ++p;
-                int bd = 0;
-                for (; p < toks.size(); ++p) {
-                    if (toks[p].text == "{") {
-                        ++bd;
-                    } else if (toks[p].text == "}") {
-                        if (--bd == 0)
-                            break;
-                    } else if (tokIs(toks, p, "stampWatermark")) {
-                        w.usesWatermark = true;
-                    }
-                }
-                g_own.watermarks.push_back(w);
-                k = p; // parens inside the body were consumed with it
-            }
-        }
     }
 }
 
-/** AF020..AF023 resolution, after every file contributed. */
+/** AF020..AF022 resolution, after every file contributed. */
 void
 resolveOwnership(std::vector<Finding> &out)
 {
@@ -1774,8 +1644,8 @@ resolveOwnership(std::vector<Finding> &out)
              "'" + m.cls + "::" + m.name + "' holds a raw " +
                  std::string(holder_dom) + "-side reference to " +
                  m.type + " (" + type_dom + "-owned); cross the "
-                 "domain boundary through a BoundedChannel or the "
-                 "DramCache facade (DESIGN.md §16)",
+                 "FC<->BC seam through a BoundedChannel or the "
+                 "DramCache facade (DESIGN.md §11)",
              m.name});
     }
 
@@ -1800,31 +1670,26 @@ resolveOwnership(std::vector<Finding> &out)
                                : "backside_controller.";
         if (baseStartsWith(c.file, home))
             continue; // the controller's own files
-        if (baseStartsWith(c.file, "dram_cache.")) {
-            // The allowlisted pump: recorded as a measured sync edge
-            // for the ownership report, never flagged.
-            g_own.syncEdges.push_back({c.method, cls, c.file, c.line});
-            continue;
-        }
+        if (baseStartsWith(c.file, "dram_cache."))
+            continue; // the allowlisted composition point
         const char *caller_dom = fileDomain(c.file);
         if (caller_dom != nullptr &&
             std::string(caller_dom) == componentDomain(cls))
-            continue; // same-domain call, no boundary crossed
+            continue; // same-side call, no seam crossed
         if (c.suppressed)
             continue;
         out.push_back(
             {c.file, c.line, "AF021",
              "direct call of " + cls + "::" + c.method + " crosses "
-             "the FC<->BC domain boundary synchronously; route it "
-             "through the channel seam or the DramCache facade's "
-             "allowlisted pump (DESIGN.md §16)",
+             "the FC<->BC seam synchronously; route it through a "
+             "channel or the DramCache facade (DESIGN.md §11)",
              c.method});
     }
 
-    // AF022: a non-component type held mutably from two domains.
-    // The owning domain is the one holding it by value (the facade's
-    // shared structures); mutable references from the other domain
-    // are the measured exec-group-split worklist.
+    // AF022: a non-component type held mutably from both sides. The
+    // owning side is the one holding it by value (the facade's shared
+    // structures); a mutable reference from the other side reaches
+    // around the channels.
     std::map<std::string,
              std::vector<const OwnershipState::Member *>> shared;
     for (const OwnershipState::Member &m : g_own.members) {
@@ -1851,39 +1716,21 @@ resolveOwnership(std::vector<Finding> &out)
             const std::string dom = componentDomain(m->cls);
             if (!owner.empty() && dom == owner)
                 continue;
-            g_own.sharedEdges.push_back({entry.first, m->cls, m->name,
-                                         dom, owner, m->file,
-                                         m->line});
             if (m->sup22)
                 continue;
             out.push_back(
                 {m->file, m->line, "AF022",
                  "'" + m->cls + "::" + m->name + "' mutably shares " +
-                     entry.first + " across domains (" +
+                     entry.first + " across the FC<->BC seam (" +
                      (owner.empty() ? std::string("no value owner")
                                     : owner + "-owned by value") +
                      ", referenced from " + dom + ") without an "
-                     "owning declaration — a synchronous coupling "
-                     "the exec-group split must break (DESIGN.md "
-                     "§16)",
+                     "owning declaration; pass its data as channel "
+                     "message fields instead (DESIGN.md §11)",
                  m->name});
         }
     }
 
-    // AF023: addLink watermark lambdas capturing by reference. The
-    // sanctioned provider copies its bindings and reads the channel's
-    // acquire-stamped watermark.
-    for (const OwnershipState::Watermark &w : g_own.watermarks) {
-        if (!w.refCapture || w.suppressed)
-            continue;
-        out.push_back(
-            {w.file, w.line, "AF023",
-             "addLink watermark lambda captures by reference; a "
-             "conservative-engine watermark runs on the consumer's "
-             "thread, so capture by value and read the producer "
-             "channel's stampWatermark() (acquire) instead",
-             "watermark-lambda"});
-    }
 }
 
 void
@@ -1939,8 +1786,6 @@ scanFile(const fs::path &path, const std::string &rel,
         checkPointerKeyedContainers(toks, rel, sup, out);
         checkMutableStaticState(toks, lines, rel, sup, out);
         checkChannelContractDeclared(toks, rel, sup, out);
-        if (rel.rfind("src/sim/", 0) != 0)
-            checkCrossDomainScheduling(toks, rel, sup, out);
     }
 }
 
@@ -1957,151 +1802,10 @@ jsonEscape(const std::string &s)
 }
 
 /**
- * The measured domain-coupling graph (--ownership-report=PREFIX):
- * PREFIX.json + PREFIX.dot from the resolution-time edge lists. The
- * report deliberately includes baselined couplings — it is the
- * exec-group-split worklist (DESIGN.md §16), not the violation list.
- */
-bool
-writeOwnershipReport(const std::string &prefix)
-{
-    std::ofstream js(prefix + ".json");
-    std::ofstream dot(prefix + ".dot");
-    if (!js || !dot) {
-        std::cerr << "aflint: cannot write ownership report to '"
-                  << prefix << ".{json,dot}'\n";
-        return false;
-    }
-
-    // Facade sync calls run FC-side when the callee is the BC
-    // (service on the miss path) and BC-side when the callee is the
-    // FC (install delivery under a channel drain).
-    auto edgeDir = [](const std::string &callee) {
-        return callee == "BacksideController" ? "fc->bc" : "bc->fc";
-    };
-
-    js << "{\n  \"domains\": [\"fc\", \"bc\"],\n";
-    js << "  \"sync_calls\": [\n";
-    for (std::size_t i = 0; i < g_own.syncEdges.size(); ++i) {
-        const OwnershipState::SyncEdge &e = g_own.syncEdges[i];
-        js << "    {\"method\": \"" << jsonEscape(e.callee)
-           << "::" << jsonEscape(e.method) << "\", \"direction\": \""
-           << edgeDir(e.callee) << "\", \"site\": \""
-           << jsonEscape(e.file) << ":" << e.line << "\"}"
-           << (i + 1 < g_own.syncEdges.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"shared_state\": [\n";
-    for (std::size_t i = 0; i < g_own.sharedEdges.size(); ++i) {
-        const OwnershipState::SharedEdge &e = g_own.sharedEdges[i];
-        js << "    {\"type\": \"" << jsonEscape(e.type)
-           << "\", \"holder\": \"" << jsonEscape(e.holder)
-           << "::" << jsonEscape(e.member) << "\", \"holder_domain\": \""
-           << jsonEscape(e.domain) << "\", \"owner_domain\": \""
-           << jsonEscape(e.owner) << "\", \"site\": \""
-           << jsonEscape(e.file) << ":" << e.line << "\"}"
-           << (i + 1 < g_own.sharedEdges.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"channels\": [\n";
-    std::vector<const OwnershipState::Member *> channels;
-    for (const OwnershipState::Member &m : g_own.members) {
-        if (m.isChannel)
-            channels.push_back(&m);
-    }
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-        const OwnershipState::Member *m = channels[i];
-        js << "    {\"holder\": \"" << jsonEscape(m->cls)
-           << "::" << jsonEscape(m->name) << "\", \"domain\": \""
-           << componentDomain(m->cls) << "\", \"site\": \""
-           << jsonEscape(m->file) << ":" << m->line << "\"}"
-           << (i + 1 < channels.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"traffic\": [\n";
-    // Per-edge message classes, derived from the facade's channel
-    // members: the DramCache names encode the direction (fcToBc,
-    // bcToFcRsp, ...) and the parser's single-token type guess lands
-    // on the template argument — the message class. The endpoint
-    // count tallies every component-held channel member carrying the
-    // same class (facade + both controllers), i.e. how many
-    // declaration sites a message-format change has to visit.
-    struct TrafficEdge {
-        std::string message, edge, channel;
-        int endpoints = 0;
-    };
-    std::vector<TrafficEdge> traffic;
-    for (const OwnershipState::Member *m : channels) {
-        if (m->cls != "DramCache")
-            continue;
-        const std::string &n = m->name;
-        const std::string src = n.rfind("fc", 0) == 0 ? "fc" : "bc";
-        // The flash leg stays inside the backside shard's domain
-        // (the fabric slice is bc-owned).
-        const std::string dst =
-            n.find("ToFc") != std::string::npos ? "fc" : "bc";
-        TrafficEdge e;
-        e.message = m->type;
-        e.edge = src + "->" + dst;
-        e.channel = m->cls + "::" + n;
-        for (const OwnershipState::Member *c : channels) {
-            if (c->type == m->type)
-                ++e.endpoints;
-        }
-        traffic.push_back(std::move(e));
-    }
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-        const TrafficEdge &e = traffic[i];
-        js << "    {\"message\": \"" << jsonEscape(e.message)
-           << "\", \"edge\": \"" << e.edge << "\", \"channel\": \""
-           << jsonEscape(e.channel) << "\", \"endpoints\": "
-           << e.endpoints << "}"
-           << (i + 1 < traffic.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"watermarks\": [\n";
-    for (std::size_t i = 0; i < g_own.watermarks.size(); ++i) {
-        const OwnershipState::Watermark &w = g_own.watermarks[i];
-        js << "    {\"site\": \"" << jsonEscape(w.file) << ":"
-           << w.line << "\", \"by_ref_capture\": "
-           << (w.refCapture ? "true" : "false")
-           << ", \"reads_stamp_watermark\": "
-           << (w.usesWatermark ? "true" : "false") << "}"
-           << (i + 1 < g_own.watermarks.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-
-    dot << "digraph ownership {\n  rankdir=LR;\n"
-        << "  fc [label=\"fc (frontside: cores + FC + facade + tags "
-           "+ dram + footprint)\"];\n"
-        << "  bc [label=\"bc (backside shard: BC + MSR + evict "
-           "buffer + fabric slice)\"];\n";
-    for (const TrafficEdge &e : traffic) {
-        dot << "  " << (e.edge == "fc->bc" ? "fc -> bc" : "bc -> fc")
-            << " [label=\"" << e.message << " via " << e.channel
-            << " (" << e.endpoints << " endpoints)\"];\n";
-    }
-    for (const OwnershipState::SyncEdge &e : g_own.syncEdges) {
-        const bool to_bc = e.callee == "BacksideController";
-        dot << "  " << (to_bc ? "fc -> bc" : "bc -> fc")
-            << " [label=\"" << e.callee << "::" << e.method << " ("
-            << e.file << ":" << e.line << ")\"];\n";
-    }
-    for (const OwnershipState::SharedEdge &e : g_own.sharedEdges) {
-        dot << "  " << e.domain << " -> "
-            << (e.owner.empty() ? std::string("fc") : e.owner)
-            << " [style=dashed, label=\"" << e.holder
-            << "::" << e.member << " : " << e.type << "\"];\n";
-    }
-    for (const OwnershipState::Watermark &w : g_own.watermarks) {
-        dot << "  fc -> bc [style=dotted, label=\"watermark "
-            << w.file << ":" << w.line << "\"];\n";
-    }
-    dot << "}\n";
-    return js.good() && dot.good();
-}
-
-/**
  * Baseline: reviewed long-lived findings keyed (rule, file, token) in
  * tools/aflint/baseline.json, replacing inline annotation noise for
- * couplings the roadmap already owns (the AF022 worklist, the
- * thread-local auditor attach points).
+ * reviewed exceptions such as the thread-local auditor attach point
+ * and audit-only unordered walks.
  */
 struct BaselineEntry {
     std::string rule, file, token;
@@ -2176,7 +1880,7 @@ usage(const char *argv0)
     std::cerr
         << "usage: " << argv0
         << " [--root DIR] [--format=text|json] "
-           "[--no-default-excludes] [baseline/report flags] "
+           "[--no-default-excludes] [baseline flags] "
            "[paths...]\n"
            "Scans src tools bench tests under DIR (default: .) "
            "unless explicit paths are given.\n"
@@ -2187,10 +1891,7 @@ usage(const char *argv0)
            "(rule,file,token) [default: ROOT/tools/aflint/"
            "baseline.json]; --no-baseline disables it;\n"
            "--write-baseline regenerates the file from the current "
-           "findings; --check fails on stale entries.\n"
-           "--ownership-report=PREFIX writes the measured "
-           "domain-coupling graph to PREFIX.json and PREFIX.dot "
-           "(DESIGN.md §16).\n";
+           "findings; --check fails on stale entries.\n";
     return 2;
 }
 
@@ -2220,9 +1921,6 @@ main(int argc, char **argv)
             opt.writeBaseline = true;
         } else if (arg == "--check") {
             opt.checkBaseline = true;
-        } else if (arg.rfind("--ownership-report=", 0) == 0) {
-            opt.reportPrefix =
-                arg.substr(std::string("--ownership-report=").size());
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -2332,10 +2030,6 @@ main(int argc, char **argv)
     }
     resolveUnorderedIteration(findings);
     resolveOwnership(findings);
-
-    if (!opt.reportPrefix.empty() &&
-        !writeOwnershipReport(opt.reportPrefix))
-        return 2;
 
     const fs::path baseline_path =
         opt.baselinePath.empty()

@@ -1,6 +1,6 @@
 /**
  * @file
- * The six fixed-seed golden torture configurations and their JSON
+ * The fixed-seed golden torture configurations and their JSON
  * serialisation, shared by the golden_stats tool and the
  * test_fcbc_suite regression so the two can never drift apart: both
  * must produce byte-identical output for the files under
@@ -11,7 +11,10 @@
 #define ASTRIFLASH_TOOLS_GOLDEN_CASES_HH
 
 #include <cstdint>
+#include <fstream>
 #include <ostream>
+#include <sstream>
+#include <string>
 
 #include "sim/json.hh"
 
@@ -26,16 +29,14 @@ struct GoldenCase {
     std::uint64_t seed;
     bool footprint;
     bool openLoop;
-    /** Pipelined split mode (--fc-pipeline, 4 BC shards over 4 flash
-     *  devices): its own golden set, byte-identical across --host-jobs
-     *  but NOT comparable to the fused default. */
-    bool split = false;
+    /** BC shards, each with its own flash device (1 = unsharded). */
+    std::uint32_t shards = 1;
 };
 
 // Mirrors kTortureCases in tests/test_invariants.cpp: one case per
 // system-kind/workload mix, fixed seeds, tatp both closed and open.
-// The split_* cases rerun a representative subset with the pipelined
-// miss path and sharded exec groups (DESIGN.md §17).
+// astriflash_tatp_shards4 pins the multi-shard miss path: the tatp
+// case over 4 BC shards and 4 flash devices.
 constexpr GoldenCase kGoldenCases[] = {
     {"astriflash_tatp", core::SystemKind::AstriFlash,
      workload::Kind::Tatp, 1, false, false},
@@ -49,14 +50,8 @@ constexpr GoldenCase kGoldenCases[] = {
      workload::Kind::ArraySwap, 5, false, false},
     {"astriflash_tatp_openloop", core::SystemKind::AstriFlash,
      workload::Kind::Tatp, 6, false, true},
-    {"split_astriflash_tatp", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 1, false, false, true},
-    {"split_astriflash_silo_footprint", core::SystemKind::AstriFlash,
-     workload::Kind::Silo, 2, true, false, true},
-    {"split_nops_tpcc", core::SystemKind::AstriFlashNoPS,
-     workload::Kind::Tpcc, 3, false, false, true},
-    {"split_astriflash_tatp_openloop", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 6, false, true, true},
+    {"astriflash_tatp_shards4", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, 1, false, false, 4},
 };
 
 /** The smallCfg used by the torture suite, verbatim. */
@@ -76,12 +71,9 @@ goldenCaseConfig(const GoldenCase &gc)
         cfg.dramCache.footprintEnabled = true;
     if (gc.openLoop)
         cfg.meanInterarrival = sim::microseconds(5);
-    if (gc.split) {
-        cfg.dramCache.fc.pipeline = true;
-        cfg.dramCache.bc.shards = 4;
-        // Shards must divide devices so each page-interleaved shard's
-        // flash slice is domain-private (the facade enforces it).
-        cfg.dramCache.fabric.devices = 4;
+    if (gc.shards > 1) {
+        cfg.dramCache.bc.shards = gc.shards;
+        cfg.dramCache.fabric.devices = gc.shards;
     }
     return cfg;
 }
@@ -126,6 +118,16 @@ writeGoldenJson(std::ostream &os, const GoldenCase &gc,
 
     w.endObject();
     os << "\n";
+}
+
+/** The committed golden file @p dir/@p name.json, or "" if unreadable. */
+inline std::string
+readGoldenFile(const std::string &dir, const std::string &name)
+{
+    std::ifstream in(dir + "/" + name + ".json", std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 } // namespace astriflash::tools

@@ -2,9 +2,9 @@
  * @file
  * golden_stats — fixed-seed golden stats-JSON driver.
  *
- * Runs one of the six invariant-torture configurations (the same set
- * test_invariants.cpp sweeps, tatp closed- and open-loop included) at
- * its fixed seed and writes the headline results plus the full
+ * Runs one of the golden torture configurations (the set
+ * test_invariants.cpp sweeps, tatp closed- and open-loop included,
+ * plus a 4-shard tatp case) at its fixed seed and writes the headline results plus the full
  * hierarchical stats tree as JSON. The files under tests/golden/ were
  * captured from the pre-strong-type tree; the golden_stats_* ctests
  * re-run each case and require byte-identical output, so any refactor
@@ -15,10 +15,6 @@
  *
  *   golden_stats --list
  *   golden_stats --case=astriflash_tatp --out=stats.json
- *
- * --host-jobs=N runs the case on the conservative parallel engine;
- * the output must stay byte-identical to the committed golden at any
- * N (the CI host-jobs matrix pins {1,2,4}).
  */
 
 #include <cstdio>
@@ -40,7 +36,6 @@ main(int argc, char **argv)
     std::string case_name;
     std::string out_file;
     bool list = false;
-    std::uint32_t host_jobs = 1;
 
     sim::OptionParser opts(
         "golden_stats",
@@ -50,8 +45,6 @@ main(int argc, char **argv)
     opts.addString("out", &out_file,
                    "output JSON file (- for stdout)");
     opts.addFlag("list", &list, "print the known case names");
-    opts.addUint32("host-jobs", &host_jobs,
-                   "host worker threads (output must be identical)");
     opts.parseOrExit(argc, argv);
 
     if (list) {
@@ -72,9 +65,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    SystemConfig cfg = goldenCaseConfig(*chosen);
-    cfg.hostJobs = host_jobs == 0 ? 1 : host_jobs;
-    System sys(cfg);
+    System sys(goldenCaseConfig(*chosen));
     const RunResults r = sys.run();
 
     if (out_file.empty() || out_file == "-") {
