@@ -1,6 +1,8 @@
 #include "backside_controller.hh"
 
+#include <algorithm>
 #include <bit>
+#include <unordered_set>
 
 #include "sim/logging.hh"
 #include "sim/trace_events.hh"
@@ -29,7 +31,7 @@ BacksideController::BacksideController(
       msrTable(SimObject::name() + ".msr", msr_sets,
                msr_entries_per_set),
       evictBuf(SimObject::name() + ".evictbuf", evict_entries),
-      flashReadEstimate(flash_dev.readEstimate())
+      msrWait(msrTable.sets()), flashReadEstimate(flash_dev.readEstimate())
 {
     const sim::ClockDomain clk(cfg.controllerFreqHz);
     bcOpTicks = clk.cycles(cfg.bc.cyclesPerOp);
@@ -39,8 +41,8 @@ void
 BacksideController::bindChannels()
 {
     // The submit path is bc-owned, so the command channel drains
-    // inside the push that filled it: startMiss's issued-assertions
-    // depend on it and the seam honestly declares zero lookahead.
+    // inside the push that filled it: issueRead's issued-assertion
+    // depends on it and the seam honestly declares zero lookahead.
     toFlash.setDrainHook([this] { pumpFlash(); });
     // Service the whole miss chain nested inside the producer's push,
     // exactly like the pre-split facade pump.
@@ -77,55 +79,58 @@ BacksideController::serviceHead()
     }
 
     ack.reply.kind = BcReply::Kind::MissStarted;
-    ack.reply.merged = pending.count(req.page) != 0;
-    ack.reply.ready = startMiss(req, accept);
+    // One hash of the page per request: the entry stays put until the
+    // page installs, so the reference outlives the flash issue below.
+    auto [it, fresh] = pending.try_emplace(req.page);
+    PendingMiss &miss = it->second;
+    ack.reply.merged = !fresh;
+    if (fresh)
+        startMiss(req, miss, accept);
+    else
+        mergeMiss(req, miss, accept);
+    ack.reply.ready = miss.dataReady;
     if (req.hasWaiter)
-        pending[req.page].waiters.push_back(req.waiter);
+        miss.waiters.push_back(req.waiter);
     // Merged requests ride the original transaction's slot and only
     // pay the BC's dequeue + MSR search; a new miss holds its slot
     // until the page's install completes, making the channel depth
     // the BC's outstanding-transaction window. Either way the BC
     // consumes the request after its dequeue + MSR-search ops.
     const sim::Ticks consumed = accept + 2 * bcOp();
-    inbox.dropFront(consumed, ack.reply.merged
-                                  ? consumed
-                                  : pending[req.page].dataReady);
+    inbox.dropFront(consumed,
+                    ack.reply.merged ? consumed : miss.dataReady);
     toFcRsp.push(ack, consumed);
 }
 
-sim::Ticks
-BacksideController::startMiss(const MissRequest &req, sim::Ticks now)
+void
+BacksideController::mergeMiss(const MissRequest &req, PendingMiss &miss,
+                              sim::Ticks now)
+{
+    miss.anyWrite = miss.anyWrite || req.write;
+    // Widen a not-yet-issued fetch to cover this request; an in-flight
+    // transfer cannot grow, in which case an uncovered block
+    // sub-page-misses again after the install.
+    if (!miss.issued)
+        miss.fetchMask |= req.wantMask;
+    sim::traceEvent(sim::TracePoint::MsrDedup, now, kNoCore,
+                    pageByteAddr(req.page), miss.waiters.size());
+}
+
+void
+BacksideController::startMiss(const MissRequest &req, PendingMiss &miss,
+                              sim::Ticks now)
 {
     const mem::PageNum page = req.page;
-    auto it = pending.find(page);
-    if (it != pending.end()) {
-        it->second.anyWrite = it->second.anyWrite || req.write;
-        // Widen a not-yet-issued fetch to cover this request; an
-        // in-flight transfer cannot grow, in which case an uncovered
-        // block sub-page-misses again after the install.
-        if (!it->second.issued)
-            it->second.fetchMask |= req.wantMask;
-        sim::traceEvent(sim::TracePoint::MsrDedup, now, kNoCore,
-                        pageByteAddr(page), it->second.waiters.size());
-        return it->second.dataReady;
-    }
-
-    PendingMiss miss;
     miss.anyWrite = req.write;
-    if (cfg.footprintEnabled) {
-        // Footprint history is fc-owned; the producer snapshotted the
-        // page's recorded footprint into the request at push time.
-        miss.fetchMask = req.histValid
-            ? (req.histMask | req.wantMask) : ~0ull;
-    } else {
-        miss.fetchMask = ~0ull;
-    }
+    // Footprint history is fc-owned; the producer snapshotted the
+    // page's recorded footprint into the request at push time.
+    miss.fetchMask = cfg.footprintEnabled && req.histValid
+        ? (req.histMask | req.wantMask) : ~0ull;
 
     // BC: one op to dequeue the request, one CAS-equivalent op to
     // search the MSR.
     const sim::Ticks bc_start = now + 2 * bcOp();
-    const MsrAlloc alloc = msrTable.allocate(page);
-    switch (alloc) {
+    switch (msrTable.allocate(page)) {
       case MsrAlloc::Duplicate:
         // pending and the MSR mirror each other; a duplicate here is
         // an invariant violation.
@@ -134,46 +139,58 @@ BacksideController::startMiss(const MissRequest &req, sim::Ticks now)
                         pageByteAddr(page)));
       case MsrAlloc::SetFull: {
         // BC waits for an entry in this set to free; the request sits
-        // in the BC queue. dataReady is a conservative estimate used
-        // only by forced-synchronous requesters.
-        miss.issued = false;
+        // at the tail of the set's wait queue. dataReady is a
+        // conservative estimate used only by forced-synchronous
+        // requesters.
         miss.dataReady = bc_start + flashReadEstimate;
-        pending.emplace(page, std::move(miss));
-        msrStalled.push_back(page);
+        MsrWaitQueue &q = msrWait[msrTable.setIndex(page)];
+        if (q.count == 0) {
+            q.head = page;
+        } else {
+            const auto tail = pending.find(q.tail);
+            ASTRI_ASSERT(tail != pending.end());
+            tail->second.nextStalled = page;
+        }
+        q.tail = page;
+        ++q.count;
+        ++msrStalled;
         sim::traceEvent(sim::TracePoint::MsrStall, bc_start, kNoCore,
                         pageByteAddr(page),
                         msrTable.setOccupancy(page));
         break;
       }
-      case MsrAlloc::New: {
-        sim::traceEvent(sim::TracePoint::MsrInsert, bc_start, kNoCore,
-                        pageByteAddr(page), msrTable.occupancy());
-        const std::uint64_t fetch_bytes =
-            static_cast<std::uint64_t>(
-                std::popcount(miss.fetchMask)) * mem::kBlockSize;
-        pending.emplace(page, std::move(miss));
-        // The command channel's drain submits the read and reports
-        // back through flashReadIssued(), which stamps dataReady and
-        // schedules the arrival.
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Read,
-                                    addrMap.flashPage(
-                                        pageByteAddr(page)),
-                                    mem::Bytes(fetch_bytes)},
-                page},
-            bc_start);
-        ASTRI_ASSERT_MSG(pending[page].issued,
-                         "flash read for %llx was not issued by the "
-                         "command channel drain",
-                         static_cast<unsigned long long>(
-                             pageByteAddr(page)));
+      case MsrAlloc::New:
+        issueRead(page, miss, bc_start);
         break;
-      }
     }
     if (pending.size() > statsData.peakOutstanding)
         statsData.peakOutstanding = pending.size();
-    return pending[page].dataReady;
+}
+
+void
+BacksideController::issueRead(mem::PageNum page, const PendingMiss &miss,
+                              sim::Ticks at)
+{
+    sim::traceEvent(sim::TracePoint::MsrInsert, at, kNoCore,
+                    pageByteAddr(page), msrTable.occupancy());
+    const std::uint64_t fetch_bytes =
+        static_cast<std::uint64_t>(std::popcount(miss.fetchMask)) *
+        mem::kBlockSize;
+    // The command channel's drain submits the read and reports back
+    // through flashReadIssued(), which stamps dataReady and schedules
+    // the arrival.
+    toFlash.push(
+        FlashCmdMsg{
+            flash::FlashCommand{flash::FlashCommand::Op::Read,
+                                addrMap.flashPage(pageByteAddr(page)),
+                                mem::Bytes(fetch_bytes)},
+            page},
+        at);
+    ASTRI_ASSERT_MSG(miss.issued,
+                     "flash read for %llx was not issued by the "
+                     "command channel drain",
+                     static_cast<unsigned long long>(
+                         pageByteAddr(page)));
 }
 
 void
@@ -213,8 +230,9 @@ BacksideController::flashReadIssued(mem::PageNum page,
                     kNoCore, pageByteAddr(page), fetch_bytes);
     it->second.issued = true;
     it->second.dataReady = complete_at + bcOp() + installEstimate();
-    scheduleIn(complete_at > curTick() ? complete_at - curTick() : 0,
-               [this, page] { pageArrived(page); });
+    const sim::Ticks arrive = std::max(complete_at, curTick());
+    arrivals.emplace(arrive, page);
+    scheduleIn(arrive - curTick(), [this] { pageArrived(); });
 }
 
 sim::Ticks
@@ -227,9 +245,20 @@ BacksideController::installEstimate() const
 }
 
 void
-BacksideController::pageArrived(mem::PageNum page)
+BacksideController::pageArrived()
 {
     const sim::Ticks now = curTick();
+    // Each read scheduled one arrival event at its arrival tick, and
+    // every event takes the earliest-issued read due now: same-tick
+    // arrivals contend for the DRAM install in issue order, whatever
+    // order the kernel fires their events in.
+    const auto next = arrivals.begin();
+    ASTRI_ASSERT_MSG(next != arrivals.end() && next->first == now,
+                     "%s: arrival event with no read due at %llu",
+                     name().c_str(),
+                     static_cast<unsigned long long>(now));
+    const mem::PageNum page = next->second;
+    arrivals.erase(next);
     sim::traceEvent(sim::TracePoint::FlashReadDone, now, kNoCore,
                     pageByteAddr(page));
 
@@ -310,9 +339,9 @@ BacksideController::finishInstall(const InstallGrant &grant,
                     pageByteAddr(grant.page),
                     ready > now ? ready - now : 0);
 
-    // Free the MSR entry and unblock any set-conflicted misses.
+    // Free the MSR entry and unblock the set's oldest waiter.
     msrTable.free(grant.page);
-    retryMsrStalled(now);
+    retryMsrStalled(grant.page, now);
 
     auto waiters = std::move(pit->second.waiters);
     pending.erase(pit);
@@ -321,38 +350,28 @@ BacksideController::finishInstall(const InstallGrant &grant,
 }
 
 void
-BacksideController::retryMsrStalled(sim::Ticks now)
+BacksideController::retryMsrStalled(mem::PageNum freed, sim::Ticks now)
 {
-    for (auto it = msrStalled.begin(); it != msrStalled.end();) {
-        const mem::PageNum page = *it;
-        auto pit = pending.find(page);
-        if (pit == pending.end() || pit->second.issued) {
-            it = msrStalled.erase(it);
-            continue;
-        }
-        const MsrAlloc alloc = msrTable.allocate(page);
-        if (alloc == MsrAlloc::SetFull) {
-            ++it;
-            continue;
-        }
-        ASTRI_ASSERT(alloc == MsrAlloc::New);
-        sim::traceEvent(sim::TracePoint::MsrInsert, now + bcOp(),
-                        kNoCore, pageByteAddr(page),
-                        msrTable.occupancy());
-        const std::uint64_t fetch_bytes =
-            static_cast<std::uint64_t>(
-                std::popcount(pit->second.fetchMask)) * mem::kBlockSize;
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Read,
-                                    addrMap.flashPage(
-                                        pageByteAddr(page)),
-                                    mem::Bytes(fetch_bytes)},
-                page},
-            now + bcOp());
-        ASTRI_ASSERT(pit->second.issued);
-        it = msrStalled.erase(it);
-    }
+    MsrWaitQueue &q = msrWait[msrTable.setIndex(freed)];
+    // Only full sets have waiters (DESIGN.md §8.2), so a retry of
+    // every waiter would fail everywhere but the freed set, whose
+    // oldest waiter takes the entry. Charge the failures it skips.
+    msrTable.chargeSetFullRetries(msrStalled - (q.count != 0 ? 1 : 0));
+    if (q.count == 0)
+        return;
+    const mem::PageNum page = q.head;
+    const auto pit = pending.find(page);
+    ASTRI_ASSERT_MSG(pit != pending.end() && !pit->second.issued,
+                     "MSR wait queue holds %llx which is not an "
+                     "un-issued pending miss",
+                     static_cast<unsigned long long>(
+                         pageByteAddr(page)));
+    q.head = pit->second.nextStalled;
+    --q.count;
+    --msrStalled;
+    const MsrAlloc alloc = msrTable.allocate(page);
+    ASTRI_ASSERT(alloc == MsrAlloc::New);
+    issueRead(page, pit->second, now + bcOp());
 }
 
 void
@@ -427,25 +446,82 @@ BacksideController::checkInvariants(sim::InvariantChecker &chk) const
                       "MSR holds %u entries but %u misses are issued",
                       msrTable.occupancy(), issued);
 
-    // The stall queue holds exactly the un-issued pending pages.
-    std::unordered_map<mem::PageNum, int> stalled;
-    for (const mem::PageNum page : msrStalled) {
-        SIM_INVARIANT_MSG(chk, ++stalled[page] == 1,
-                          "page %llx queued twice behind a full MSR set",
+    // The per-set wait queues hold exactly the un-issued pending
+    // pages, each under the MSR set it maps to, and only full sets
+    // have waiters. retryMsrStalled's O(1) retry relies on all of it.
+    std::unordered_set<mem::PageNum> queued;
+    std::uint64_t counted = 0;
+    for (std::uint32_t s = 0; s < msrWait.size(); ++s) {
+        const MsrWaitQueue &q = msrWait[s];
+        counted += q.count;
+        if (q.count == 0)
+            continue;
+        SIM_INVARIANT_MSG(chk,
+                          msrTable.setOccupancy(q.head) ==
+                              msrTable.entriesPerSet(),
+                          "MSR set %u has %u waiters but is not full",
+                          s, q.count);
+        mem::PageNum page = q.head;
+        for (std::uint32_t k = 0; k < q.count; ++k) {
+            const auto it = pending.find(page);
+            const bool stalled =
+                it != pending.end() && !it->second.issued;
+            SIM_INVARIANT_MSG(chk, stalled,
+                              "MSR set %u's wait queue holds %llx which "
+                              "is not an un-issued pending miss",
+                              s,
+                              static_cast<unsigned long long>(
+                                  pageByteAddr(page)));
+            SIM_INVARIANT_MSG(chk, msrTable.setIndex(page) == s,
+                              "page %llx maps to MSR set %u but waits "
+                              "in set %u's queue",
+                              static_cast<unsigned long long>(
+                                  pageByteAddr(page)),
+                              msrTable.setIndex(page), s);
+            SIM_INVARIANT_MSG(chk, queued.insert(page).second,
+                              "page %llx queued twice behind a full "
+                              "MSR set",
+                              static_cast<unsigned long long>(
+                                  pageByteAddr(page)));
+            if (!stalled)
+                break;
+            if (k + 1 == q.count) {
+                SIM_INVARIANT_MSG(chk, page == q.tail,
+                                  "MSR set %u's wait queue ends at "
+                                  "%llx, not at its tail",
+                                  s,
+                                  static_cast<unsigned long long>(
+                                      pageByteAddr(page)));
+            }
+            page = it->second.nextStalled;
+        }
+    }
+    SIM_INVARIANT_MSG(chk, counted == msrStalled,
+                      "per-set wait counts sum to %llu but %llu misses "
+                      "are stalled",
+                      static_cast<unsigned long long>(counted),
+                      static_cast<unsigned long long>(msrStalled));
+    SIM_INVARIANT_MSG(chk,
+                      queued.size() == pending.size() - issued,
+                      "%zu stalled pages but %zu un-issued misses",
+                      queued.size(), pending.size() - issued);
+
+    // Every read awaiting its arrival event is due now or later and
+    // belongs to an issued miss.
+    for (const auto &[tick, page] : arrivals) {
+        SIM_INVARIANT_MSG(chk, tick >= curTick(),
+                          "read of %llx arrives at %llu, before now",
                           static_cast<unsigned long long>(
-                              pageByteAddr(page)));
+                              pageByteAddr(page)),
+                          static_cast<unsigned long long>(tick));
         const auto it = pending.find(page);
         SIM_INVARIANT_MSG(chk,
-                          it != pending.end() && !it->second.issued,
-                          "stall queue holds %llx which is not an "
-                          "un-issued pending miss",
+                          it != pending.end() && it->second.issued,
+                          "read of %llx in flight without an issued "
+                          "miss",
                           static_cast<unsigned long long>(
                               pageByteAddr(page)));
     }
-    SIM_INVARIANT_MSG(chk,
-                      stalled.size() == pending.size() - issued,
-                      "%zu stalled pages but %zu un-issued misses",
-                      stalled.size(), pending.size() - issued);
 
     SIM_INVARIANT(chk, statsData.peakOutstanding >= pending.size());
     // Every install freed exactly one MSR entry in the same event.

@@ -29,7 +29,7 @@
 #define ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,8 +105,10 @@ class BacksideController : public sim::SimObject
 
     /**
      * Audit the miss-tracking machinery: every issued pending miss
-     * holds an MSR entry (and nothing else does), and the stall queue
-     * mirrors the un-issued pending misses exactly.
+     * holds an MSR entry (and nothing else does); the per-set wait
+     * queues hold exactly the un-issued pending misses, each in the
+     * queue of the MSR set it maps to; and every set with a waiter is
+     * full (DESIGN.md §8.2).
      */
     void checkInvariants(sim::InvariantChecker &chk) const;
 
@@ -130,6 +132,19 @@ class BacksideController : public sim::SimObject
         bool issued = false;   ///< Flash read issued (vs MSR-stalled).
         bool anyWrite = false; ///< Install dirty (write-allocate).
         std::uint64_t fetchMask = ~0ull; ///< Blocks to transfer.
+        /** Next waiter in this miss's MSR-set queue (while stalled). */
+        mem::PageNum nextStalled;
+    };
+
+    /**
+     * FIFO of the misses waiting for an entry in one MSR set, linked
+     * through PendingMiss::nextStalled; head and tail are meaningful
+     * only while count > 0.
+     */
+    struct MsrWaitQueue {
+        mem::PageNum head;
+        mem::PageNum tail;
+        std::uint32_t count = 0;
     };
 
     /** Page number of @p pa at this cache's page granularity. */
@@ -162,10 +177,23 @@ class BacksideController : public sim::SimObject
     void pumpCtl();
 
     /**
-     * Miss handling: MSR dedup/alloc, flash read, arrival event.
-     * @return the tick the requester's data will be ready.
+     * A request for a page that already has a pending miss: widen the
+     * fetch and mark it dirty as @p req asks.
      */
-    sim::Ticks startMiss(const MissRequest &req, sim::Ticks now);
+    void mergeMiss(const MissRequest &req, PendingMiss &miss,
+                   sim::Ticks now);
+
+    /**
+     * A new miss, already entered in the pending table as @p miss:
+     * MSR alloc, then the flash read or a place in its set's wait
+     * queue. Leaves the requester's ready tick in miss.dataReady.
+     */
+    void startMiss(const MissRequest &req, PendingMiss &miss,
+                   sim::Ticks now);
+
+    /** Submit the flash read of the MSR-admitted @p page at @p at. */
+    void issueRead(mem::PageNum page, const PendingMiss &miss,
+                   sim::Ticks at);
 
     /** Expected cost of installing one page into its frame. */
     sim::Ticks installEstimate() const;
@@ -174,14 +202,21 @@ class BacksideController : public sim::SimObject
     void flashReadIssued(mem::PageNum page, sim::Ticks issued_at,
                          sim::Ticks complete_at);
 
-    /** A fetched page arrived: request the fc-side install. */
-    void pageArrived(mem::PageNum page);
+    /**
+     * A read's arrival event: take the earliest-issued read due now
+     * off arrivals and request its fc-side install.
+     */
+    void pageArrived();
 
     /** The FC installed the page: evict path, MSR free, waiters. */
     void finishInstall(const InstallGrant &grant, sim::Ticks now);
 
-    /** Issue queued misses that were blocked on a full MSR set. */
-    void retryMsrStalled(sim::Ticks now);
+    /**
+     * The MSR entry of @p freed was just released: issue the oldest
+     * waiter of its set, if any. Every other waiter's set is full, so
+     * none of them is retried (DESIGN.md §8.2).
+     */
+    void retryMsrStalled(mem::PageNum freed, sim::Ticks now);
 
     /** Drain one evict-buffer entry to flash. */
     void drainEvictBuffer(sim::Ticks now);
@@ -199,7 +234,10 @@ class BacksideController : public sim::SimObject
     MissStatusRow msrTable;
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;
-    std::deque<mem::PageNum> msrStalled; ///< Waiting for MSR space.
+    std::vector<MsrWaitQueue> msrWait; ///< One per MSR set.
+    std::uint64_t msrStalled = 0;      ///< Sum of msrWait counts.
+    /** Issued reads by arrival tick; issue order within a tick. */
+    std::multimap<sim::Ticks, mem::PageNum> arrivals;
     sim::Ticks bcOpTicks;
     sim::Ticks flashReadEstimate;
     Stats statsData;

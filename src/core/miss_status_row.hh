@@ -69,6 +69,21 @@ class MissStatusRow
     /** Live entries in the set that @p page maps to. */
     std::uint32_t setOccupancy(mem::PageNum page) const;
 
+    /** Set that @p page maps to, in [0, sets()). */
+    std::uint32_t setIndex(mem::PageNum page) const;
+
+    /**
+     * Count @p n allocation attempts that found their set full without
+     * making them: the BC's per-set wait queues skip retries that are
+     * certain to fail but still charge them here, so set_full_stalls
+     * counts what a retry of every waiter after each free would.
+     */
+    void
+    chargeSetFullRetries(std::uint64_t n)
+    {
+        statsData.setFullStalls.inc(n);
+    }
+
     std::uint32_t sets() const
     {
         return static_cast<std::uint32_t>(table.size());
@@ -104,8 +119,6 @@ class MissStatusRow
     void checkInvariants(sim::InvariantChecker &chk) const;
 
   private:
-    std::uint32_t setIndex(mem::PageNum page) const;
-
     std::string msrName;
     std::uint32_t ways;
     std::vector<std::unordered_set<mem::PageNum>> table;

@@ -42,11 +42,17 @@ void
 SimCore::pageReady(mem::PageNum page, sim::Ticks when)
 {
     const sim::Ticks now = curTick();
-    const sim::Ticks delta = when > now ? when - now : 0;
+    const sim::Ticks at = std::max(when, now);
+    readyAt.emplace(at, page);
     scheduleIn(
-        delta,
-        [this, page] {
-            sched.pageReady(page, curTick());
+        at - now,
+        [this] {
+            const auto next = readyAt.begin();
+            ASTRI_ASSERT(next != readyAt.end() &&
+                         next->first == curTick());
+            const mem::PageNum ready = next->second;
+            readyAt.erase(next);
+            sched.pageReady(ready, curTick());
             kick();
         },
         eventPrio(true));

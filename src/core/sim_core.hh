@@ -18,6 +18,7 @@
 #ifndef ASTRIFLASH_CORE_SIM_CORE_HH
 #define ASTRIFLASH_CORE_SIM_CORE_HH
 
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -161,6 +162,15 @@ class SimCore : public sim::SimObject
      * park-order invariant (DESIGN.md §14).
      */
     sim::Ticks localCursor = 0;
+    /**
+     * Pages whose delivery is scheduled, by delivery tick, in
+     * registration order within a tick. Same-tick deliveries to this
+     * core share one (tick, priority) slot, so each delivery event
+     * takes the earliest-registered page due now: the scheduler sees
+     * same-tick wakeups in registration order whatever order the
+     * kernel fires their events in (DESIGN.md §14.1).
+     */
+    std::multimap<sim::Ticks, mem::PageNum> readyAt;
     bool idle = true;
     bool blockedOnPendingFull = false;
     /** Set when resuming a previously-missed job: the next access

@@ -30,10 +30,6 @@ using Addr = std::uint64_t;
 using PageNum = sim::StrongId<struct PageNumTag>;
 /** Identifies one cache block (address / block size). */
 using BlockNum = sim::StrongId<struct BlockNumTag>;
-/** Index of a set within a set-associative structure. */
-using SetIdx = sim::StrongId<struct SetIdxTag>;
-/** Index of a way within one set. */
-using WayIdx = sim::StrongId<struct WayIdxTag, std::uint32_t>;
 /** A byte count (transfer sizes, capacities) — a quantity, not an
  *  address, so it adds and scales but never indexes. */
 using Bytes = sim::StrongCount<struct BytesTag, std::uint64_t>;

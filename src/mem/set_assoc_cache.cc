@@ -1,5 +1,7 @@
 #include "set_assoc_cache.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace astriflash::mem {
@@ -14,6 +16,11 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
         ASTRI_FATAL("%s: line size %llu not a power of two",
                     cacheName.c_str(),
                     static_cast<unsigned long long>(line_size));
+    if (line_size < 4)
+        ASTRI_FATAL("%s: line size %llu below 4 B leaves no spare tag "
+                    "bits",
+                    cacheName.c_str(),
+                    static_cast<unsigned long long>(line_size));
     if (ways == 0)
         ASTRI_FATAL("%s: associativity must be >= 1", cacheName.c_str());
     if (capacity % (static_cast<std::uint64_t>(ways) * line_size) != 0)
@@ -24,39 +31,26 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
     if (sets == 0)
         ASTRI_FATAL("%s: zero sets (capacity too small)",
                     cacheName.c_str());
-    arr.resize(sets * ways);
-}
-
-SetIdx
-SetAssocCache::setIndex(Addr addr) const
-{
-    return SetIdx((addr / line) % sets);
-}
-
-SetAssocCache::Way &
-SetAssocCache::wayAt(SetIdx set, WayIdx way)
-{
-    // Row-major [set][way] flattening is the one sanctioned escape to
-    // raw indices for this array.
-    // aflint-allow-next-line(AF011)
-    return arr[set.raw() * waysPerSet + way.raw()];
-}
-
-SetAssocCache::Way *
-SetAssocCache::findWay(Addr aligned)
-{
-    Way *base = &wayAt(setIndex(aligned), WayIdx(0));
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == aligned)
-            return &base[w];
+    lineShift = log2i(line_size);
+    setMask = isPowerOfTwo(sets) ? sets - 1 : kNoSetMask;
+    words.reserve(2 * sets * ways);
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        words.insert(words.end(), ways, kInvalidTag);
+        words.insert(words.end(), ways, 0);
     }
-    return nullptr;
 }
 
-const SetAssocCache::Way *
-SetAssocCache::findWay(Addr aligned) const
+std::size_t
+SetAssocCache::findWay(std::size_t base, Addr aligned) const
 {
-    return const_cast<SetAssocCache *>(this)->findWay(aligned);
+    // Dirty bit masked off; an invalid way's word stays ~1, which no
+    // line-aligned address equals.
+    const std::uint64_t *set = &words[base];
+    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
+        if ((set[w] & ~kDirtyBit) == aligned)
+            return base + w;
+    }
+    return npos;
 }
 
 bool
@@ -64,8 +58,10 @@ SetAssocCache::access(Addr addr)
 {
     const Addr aligned = alignDown(addr, line);
     ++stamp;
-    if (Way *w = findWay(aligned)) {
-        w->lastUse = stamp;
+    const std::size_t i = findWay(setBase(aligned), aligned);
+    if (i != npos) {
+        if (policy == ReplacementPolicy::Lru)
+            words[i + waysPerSet] = stamp;
         statsData.hits.inc();
         return true;
     }
@@ -78,9 +74,11 @@ SetAssocCache::accessWrite(Addr addr)
 {
     const Addr aligned = alignDown(addr, line);
     ++stamp;
-    if (Way *w = findWay(aligned)) {
-        w->lastUse = stamp;
-        w->dirty = true;
+    const std::size_t i = findWay(setBase(aligned), aligned);
+    if (i != npos) {
+        if (policy == ReplacementPolicy::Lru)
+            words[i + waysPerSet] = stamp;
+        words[i] |= kDirtyBit;
         statsData.hits.inc();
         return true;
     }
@@ -91,40 +89,31 @@ SetAssocCache::accessWrite(Addr addr)
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    return findWay(alignDown(addr, line)) != nullptr;
+    const Addr aligned = alignDown(addr, line);
+    return findWay(setBase(aligned), aligned) != npos;
 }
 
-WayIdx
-SetAssocCache::victimWay(SetIdx set)
+std::size_t
+SetAssocCache::victimWay(std::size_t base)
 {
-    Way *base = &wayAt(set, WayIdx(0));
-    // Prefer an invalid way.
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (!base[w].valid)
-            return WayIdx(w);
-    }
-    switch (policy) {
-      case ReplacementPolicy::Random:
-        return WayIdx(
-            static_cast<std::uint32_t>(rng.uniformInt(waysPerSet)));
-      case ReplacementPolicy::Fifo: {
-        std::uint32_t oldest = 0;
-        for (std::uint32_t w = 1; w < waysPerSet; ++w) {
-            if (base[w].fillTime < base[oldest].fillTime)
-                oldest = w;
+    const std::uint64_t *when = &words[base + waysPerSet];
+    if (policy == ReplacementPolicy::Random) {
+        // Prefer an invalid way.
+        const std::uint64_t *set = &words[base];
+        for (std::uint32_t w = 0; w < waysPerSet; ++w) {
+            if (set[w] == kInvalidTag)
+                return base + w;
         }
-        return WayIdx(oldest);
-      }
-      case ReplacementPolicy::Lru:
-      default: {
-        std::uint32_t lru = 0;
-        for (std::uint32_t w = 1; w < waysPerSet; ++w) {
-            if (base[w].lastUse < base[lru].lastUse)
-                lru = w;
-        }
-        return WayIdx(lru);
-      }
+        return base + rng.uniformInt(waysPerSet);
     }
+    // LRU and FIFO: invalid ways have stamp 0, so the first smallest
+    // stamp is the first invalid way if there is one.
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < waysPerSet; ++w) {
+        if (when[w] < when[victim])
+            victim = w;
+    }
+    return base + victim;
 }
 
 std::optional<CacheLine>
@@ -132,28 +121,28 @@ SetAssocCache::fill(Addr addr, bool dirty)
 {
     const Addr aligned = alignDown(addr, line);
     ++stamp;
-    if (Way *w = findWay(aligned)) {
+    const std::size_t base = setBase(aligned);
+    if (const std::size_t i = findWay(base, aligned); i != npos) {
         // Refill of a resident line refreshes recency and dirtiness.
-        w->lastUse = stamp;
-        w->dirty = w->dirty || dirty;
+        if (policy == ReplacementPolicy::Lru)
+            words[i + waysPerSet] = stamp;
+        if (dirty)
+            words[i] |= kDirtyBit;
         return std::nullopt;
     }
-    const SetIdx set = setIndex(aligned);
-    Way &w = wayAt(set, victimWay(set));
+    const std::size_t i = victimWay(base);
     std::optional<CacheLine> evicted;
-    if (w.valid) {
-        evicted = CacheLine{w.tag, w.dirty};
+    if (words[i] != kInvalidTag) {
+        const bool was_dirty = (words[i] & kDirtyBit) != 0;
+        evicted = CacheLine{words[i] & ~kDirtyBit, was_dirty};
         statsData.evictions.inc();
-        if (w.dirty)
+        if (was_dirty)
             statsData.dirtyEvictions.inc();
     } else {
         ++validCount;
     }
-    w.valid = true;
-    w.tag = aligned;
-    w.dirty = dirty;
-    w.lastUse = stamp;
-    w.fillTime = stamp;
+    words[i] = aligned | (dirty ? kDirtyBit : 0);
+    words[i + waysPerSet] = stamp;
     statsData.fills.inc();
     return evicted;
 }
@@ -162,33 +151,35 @@ std::optional<CacheLine>
 SetAssocCache::invalidate(Addr addr)
 {
     const Addr aligned = alignDown(addr, line);
-    if (Way *w = findWay(aligned)) {
-        CacheLine out{w->tag, w->dirty};
-        w->valid = false;
-        w->dirty = false;
-        --validCount;
-        statsData.invalidations.inc();
-        return out;
-    }
-    return std::nullopt;
+    const std::size_t i = findWay(setBase(aligned), aligned);
+    if (i == npos)
+        return std::nullopt;
+    const CacheLine out{aligned, (words[i] & kDirtyBit) != 0};
+    words[i] = kInvalidTag;
+    words[i + waysPerSet] = 0;
+    --validCount;
+    statsData.invalidations.inc();
+    return out;
 }
 
 bool
 SetAssocCache::markDirty(Addr addr)
 {
-    if (Way *w = findWay(alignDown(addr, line))) {
-        w->dirty = true;
-        return true;
-    }
-    return false;
+    const Addr aligned = alignDown(addr, line);
+    const std::size_t i = findWay(setBase(aligned), aligned);
+    if (i == npos)
+        return false;
+    words[i] |= kDirtyBit;
+    return true;
 }
 
 void
 SetAssocCache::flushAll()
 {
-    for (Way &w : arr) {
-        w.valid = false;
-        w.dirty = false;
+    for (auto set = words.begin(); set != words.end();
+         set += 2 * waysPerSet) {
+        std::fill(set, set + waysPerSet, kInvalidTag);
+        std::fill(set + waysPerSet, set + 2 * waysPerSet, 0);
     }
     validCount = 0;
 }

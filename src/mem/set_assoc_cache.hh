@@ -44,6 +44,16 @@ struct CacheLine {
  * Addresses are truncated to @p line_size granularity. The array tracks
  * validity, dirtiness, and recency; it never stores data since the
  * simulator is timing-directed, not value-accurate.
+ *
+ * Layout (DESIGN.md §3): one 8 B tag word and one 8 B stamp per way.
+ * Each set is one block of its tag words followed by its stamps, so a
+ * lookup and its fill touch adjacent host lines. A tag word holds the
+ * line-aligned address with the dirty flag in bit 0; an invalid way
+ * holds kInvalidTag, which has bit 1 set and so equals no tag word of
+ * a line of 4 B or more. The stamp means what the policy needs: last
+ * use for LRU, fill time for FIFO, nothing for Random; an invalid way's
+ * stamp is 0 and every valid way's is >= 1, so "first smallest stamp"
+ * is also "first invalid way".
  */
 class SetAssocCache
 {
@@ -71,7 +81,8 @@ class SetAssocCache
     /**
      * @param name        Instance name (diagnostics only).
      * @param capacity    Total bytes; must be sets*ways*line_size.
-     * @param line_size   Block or page size in bytes (power of two).
+     * @param line_size   Block or page size in bytes (power of two,
+     *                    >= 4: the tag word's two low bits are spare).
      * @param ways        Associativity (>=1).
      * @param policy      Replacement policy.
      * @param seed        RNG seed for the Random policy.
@@ -159,21 +170,35 @@ class SetAssocCache
         std::uint64_t valid = 0;
         for (std::uint64_t s = 0; s < sets; ++s) {
             for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-                const Way &way = arr[s * waysPerSet + w];
-                if (!way.valid)
+                const std::uint64_t word = words[2 * s * waysPerSet + w];
+                const std::uint64_t when =
+                    words[(2 * s + 1) * waysPerSet + w];
+                if (word == kInvalidTag) {
+                    SIM_INVARIANT_MSG(chk, when == 0,
+                                      "%s: invalid way holds stamp %llu",
+                                      cacheName.c_str(),
+                                      static_cast<unsigned long long>(
+                                          when));
                     continue;
+                }
                 ++valid;
-                SIM_INVARIANT_MSG(chk, way.tag % line == 0,
+                const Addr tag = word & ~kDirtyBit;
+                SIM_INVARIANT_MSG(chk, tag % line == 0,
                                   "%s: unaligned tag %llx",
                                   cacheName.c_str(),
-                                  static_cast<unsigned long long>(
-                                      way.tag));
-                SIM_INVARIANT_MSG(chk, setIndex(way.tag) == SetIdx(s),
+                                  static_cast<unsigned long long>(tag));
+                SIM_INVARIANT_MSG(chk, setOf(tag) == s,
                                   "%s: tag %llx in wrong set %llu",
                                   cacheName.c_str(),
-                                  static_cast<unsigned long long>(
-                                      way.tag),
+                                  static_cast<unsigned long long>(tag),
                                   static_cast<unsigned long long>(s));
+                SIM_INVARIANT_MSG(
+                    chk, when >= 1 && when <= stamp,
+                    "%s: valid tag %llx has stamp %llu outside [1, %llu]",
+                    cacheName.c_str(),
+                    static_cast<unsigned long long>(tag),
+                    static_cast<unsigned long long>(when),
+                    static_cast<unsigned long long>(stamp));
             }
         }
         SIM_INVARIANT_MSG(chk, valid == validCount,
@@ -192,27 +217,52 @@ class SetAssocCache
     }
 
   private:
-    struct Way {
-        Addr tag = 0;        // line-aligned address
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;  // recency stamp (LRU)
-        std::uint64_t fillTime = 0; // insertion stamp (FIFO)
-    };
+    /** Tag word of an invalid way (bit 1 set: no line tag has it). */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+    /** Dirty flag, in the tag word's spare bit 0. */
+    static constexpr std::uint64_t kDirtyBit = 1;
 
-    SetIdx setIndex(Addr addr) const;
-    Way &wayAt(SetIdx set, WayIdx way);
-    Way *findWay(Addr aligned);
-    const Way *findWay(Addr aligned) const;
-    WayIdx victimWay(SetIdx set);
+    /** Set number of @p addr. */
+    std::uint64_t
+    setOf(Addr addr) const
+    {
+        const std::uint64_t ln = addr >> lineShift;
+        return setMask != kNoSetMask ? (ln & setMask) : ln % sets;
+    }
+
+    /**
+     * Index in words of @p aligned's first tag word. A way is named by
+     * the index i of its tag word; its stamp is words[i + waysPerSet].
+     */
+    std::size_t
+    setBase(Addr aligned) const
+    {
+        return static_cast<std::size_t>(setOf(aligned)) * 2 * waysPerSet;
+    }
+
+    /**
+     * The way holding @p aligned, searching the set that starts at
+     * @p base; npos if absent.
+     */
+    std::size_t findWay(std::size_t base, Addr aligned) const;
+
+    /** The way a fill into the set at @p base replaces. */
+    std::size_t victimWay(std::size_t base);
+
+    static constexpr std::size_t npos = ~std::size_t{0};
+    static constexpr std::uint64_t kNoSetMask = ~std::uint64_t{0};
 
     std::string cacheName;
     std::uint64_t totalCapacity;
     std::uint64_t line;
     std::uint32_t waysPerSet;
     std::uint64_t sets;
+    unsigned lineShift;
+    /** sets - 1 when sets is a power of two, else kNoSetMask. */
+    std::uint64_t setMask;
     ReplacementPolicy policy;
-    std::vector<Way> arr; // sets * ways, row-major by set
+    /** Per set, its ways' tag words, then their stamps. */
+    std::vector<std::uint64_t> words;
     std::uint64_t stamp = 0;
     std::uint64_t validCount = 0;
     sim::Rng rng;

@@ -12,6 +12,7 @@
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
 #include "sim/event_queue.hh"
+#include "sim/invariant.hh"
 
 using namespace astriflash;
 using namespace astriflash::core;
@@ -161,6 +162,92 @@ TEST(DramCache, MsrSetConflictDefersFlashRead)
     EXPECT_TRUE(rig.dc->pageResident(rig.pa(3)));
     EXPECT_EQ(rig.flash->stats().reads.value(), 2u);
     EXPECT_EQ(rig.ready.size(), 2u);
+}
+
+TEST(DramCache, MsrWaitQueuesIssueEachSetInFifoOrder)
+{
+    // 2 sets x 1 entry: the first miss of each set takes its entry and
+    // the next two queue behind it.
+    Rig rig(2, 1);
+    const MissStatusRow &msr = rig.dc->msr();
+    std::vector<std::uint64_t> by_set[2];
+    for (std::uint64_t p = 1; by_set[0].size() < 3 || by_set[1].size() < 3;
+         ++p) {
+        auto &v = by_set[msr.setIndex(mem::pageNumber(rig.pa(p)))];
+        if (v.size() < 3)
+            v.push_back(p);
+    }
+    // Arrival order: set 0, set 1, set 0, set 1, ...
+    std::vector<mem::PageNum> arrival;
+    for (std::size_t k = 0; k < 3; ++k) {
+        for (const auto &v : by_set) {
+            rig.dc->access(rig.pa(v[k]), false, 0, arrival.size());
+            arrival.push_back(mem::pageNumber(rig.pa(v[k])));
+        }
+    }
+    // Four misses found their set full on arrival.
+    EXPECT_EQ(msr.stats().setFullStalls.value(), 4u);
+    // The wait-queue invariants hold after every event.
+    for (;;) {
+        sim::InvariantChecker chk;
+        rig.dc->checkInvariants(chk);
+        ASSERT_EQ(chk.failures(), 0u)
+            << chk.violations().front().detail;
+        if (rig.eq.empty())
+            break;
+        rig.eq.runSteps(1);
+    }
+
+    ASSERT_EQ(rig.ready.size(), 6u);
+    std::vector<mem::PageNum> done;
+    for (const auto &r : rig.ready)
+        done.push_back(r.first);
+    // A one-entry set admits its next miss only after the previous
+    // one installs, so the install order within a set is its issue
+    // order: arrival (FIFO) order.
+    for (std::uint32_t set = 0; set < 2; ++set) {
+        std::vector<mem::PageNum> want;
+        std::vector<mem::PageNum> got;
+        for (const mem::PageNum pn : arrival) {
+            if (msr.setIndex(pn) == set)
+                want.push_back(pn);
+        }
+        for (const mem::PageNum pn : done) {
+            if (msr.setIndex(pn) == set)
+                got.push_back(pn);
+        }
+        EXPECT_EQ(got, want) << "MSR set " << set;
+    }
+
+    // The rule the per-set queues stand in for: after every free, try
+    // every waiter in arrival order; each try that finds its set full
+    // is one stall.
+    std::vector<mem::PageNum> waiting(arrival.begin() + 2, arrival.end());
+    std::uint32_t live[2] = {1, 1};
+    std::uint64_t stalls = waiting.size();
+    for (const mem::PageNum pn : done) {
+        --live[msr.setIndex(pn)];
+        for (auto it = waiting.begin(); it != waiting.end();) {
+            if (live[msr.setIndex(*it)] == 0) {
+                ++live[msr.setIndex(*it)];
+                it = waiting.erase(it);
+            } else {
+                ++stalls;
+                ++it;
+            }
+        }
+    }
+    EXPECT_TRUE(waiting.empty());
+    EXPECT_EQ(msr.stats().setFullStalls.value(), stalls);
+
+    // By hand, for installs alternating sets as the arrivals did:
+    // 4 stalls on arrival; the first free retries 4 waiters (1 is
+    // admitted, 3 stall), the second 3 (2 stall), the third 2 (1
+    // stalls), the fourth 1 (0 stall): 4 + 3 + 2 + 1 = 10.
+    for (std::size_t k = 0; k < done.size(); ++k)
+        ASSERT_EQ(msr.setIndex(done[k]), k % 2) << "install " << k;
+    EXPECT_EQ(msr.stats().setFullStalls.value(), 10u);
+    EXPECT_EQ(rig.flash->stats().reads.value(), 6u);
 }
 
 TEST(DramCache, MissPenaltyTracksFlashScale)

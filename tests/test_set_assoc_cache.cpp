@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "mem/set_assoc_cache.hh"
+#include "reference_set_assoc_cache.hh"
 #include "sim/rng.hh"
 
 using namespace astriflash::mem;
@@ -209,4 +212,130 @@ TEST(SetAssocCache, PageGranularity)
     EXPECT_TRUE(c.access(0x3fff));
     EXPECT_FALSE(c.access(0x4000));
     EXPECT_EQ(c.numSets(), 16u);
+}
+
+/**
+ * Differential test: the packed tag-word array against the original
+ * one-struct-per-way model (reference_set_assoc_cache.hh), driven by
+ * the same seeded stream of every mutating and probing call. Every
+ * return value, victim identity and dirtiness included, the valid-line
+ * count and all six counters must agree after each call.
+ */
+struct DiffGeometry {
+    const char *name;
+    std::uint64_t sets;
+    std::uint32_t ways;
+    std::uint64_t line;
+};
+
+constexpr DiffGeometry kDiffGeometries[] = {
+    {"tlb_l1", 1, 48, 4096},      // fully associative
+    {"tlb_l2", 256, 5, 4096},
+    {"non_pow2_sets", 96, 8, 4096}, // modulo set index
+    {"page_lines", 64, 16, 4096},
+    {"l1d", 256, 4, 64},
+    {"l2", 1024, 8, 64},
+    {"llc", 1024, 16, 64},
+};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<DiffGeometry, ReplacementPolicy>>
+{
+};
+
+void
+expectSameState(const SetAssocCache &c, const reference::SetAssocCache &r,
+                int op)
+{
+    ASSERT_EQ(c.validLines(), r.validLines()) << "op " << op;
+    const auto &a = c.stats();
+    const auto &b = r.stats();
+    ASSERT_EQ(a.hits.value(), b.hits.value()) << "op " << op;
+    ASSERT_EQ(a.misses.value(), b.misses.value()) << "op " << op;
+    ASSERT_EQ(a.evictions.value(), b.evictions.value()) << "op " << op;
+    ASSERT_EQ(a.dirtyEvictions.value(), b.dirtyEvictions.value())
+        << "op " << op;
+    ASSERT_EQ(a.fills.value(), b.fills.value()) << "op " << op;
+    ASSERT_EQ(a.invalidations.value(), b.invalidations.value())
+        << "op " << op;
+}
+
+void
+expectSameLine(const std::optional<CacheLine> &a,
+               const std::optional<CacheLine> &b, int op)
+{
+    ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
+    if (a) {
+        ASSERT_EQ(a->tag_addr, b->tag_addr) << "op " << op;
+        ASSERT_EQ(a->dirty, b->dirty) << "op " << op;
+    }
+}
+
+TEST_P(CacheDifferential, MatchesReferenceModelCallForCall)
+{
+    const auto [g, policy] = GetParam();
+    const std::uint64_t capacity = g.sets * g.ways * g.line;
+    SetAssocCache c("diff", capacity, g.line, g.ways, policy, 9);
+    reference::SetAssocCache r(capacity, g.line, g.ways, policy, 9);
+    ASSERT_EQ(c.numSets(), g.sets);
+    astriflash::sim::Rng rng(2024);
+
+    // Three frames' worth of lines per way, from the bottom and the
+    // top of the address space: top lines sit next to the invalid-way
+    // tag word and must never alias it.
+    const std::uint64_t span = g.sets * g.ways * 3;
+    const Addr top = (~Addr{0} / g.line - span + 1) * g.line;
+    for (int op = 0; op < 30000; ++op) {
+        const Addr base = rng.uniformInt(4) == 0 ? top : 0;
+        const Addr a = base + rng.uniformInt(span) * g.line +
+                       rng.uniformInt(g.line);
+        const std::uint64_t kind = rng.uniformInt(1000);
+        if (kind < 400) {
+            ASSERT_EQ(c.access(a), r.access(a)) << "op " << op;
+        } else if (kind < 600) {
+            ASSERT_EQ(c.accessWrite(a), r.accessWrite(a)) << "op " << op;
+        } else if (kind < 850) {
+            const bool dirty = rng.uniformInt(2) == 0;
+            expectSameLine(c.fill(a, dirty), r.fill(a, dirty), op);
+        } else if (kind < 920) {
+            expectSameLine(c.invalidate(a), r.invalidate(a), op);
+        } else if (kind < 970) {
+            ASSERT_EQ(c.markDirty(a), r.markDirty(a)) << "op " << op;
+        } else if (kind < 999) {
+            ASSERT_EQ(c.contains(a), r.contains(a)) << "op " << op;
+        } else {
+            c.flushAll();
+            r.flushAll();
+        }
+        expectSameState(c, r, op);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+std::string
+diffCaseName(const ::testing::TestParamInfo<CacheDifferential::ParamType>
+                 &info)
+{
+    const ReplacementPolicy p = std::get<1>(info.param);
+    return std::string(std::get<0>(info.param).name) +
+           (p == ReplacementPolicy::Lru    ? "_lru"
+            : p == ReplacementPolicy::Fifo ? "_fifo"
+                                           : "_random");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Combine(::testing::ValuesIn(kDiffGeometries),
+                       ::testing::Values(ReplacementPolicy::Lru,
+                                         ReplacementPolicy::Fifo,
+                                         ReplacementPolicy::Random)),
+    diffCaseName);
+
+/** A line below 4 B leaves the tag word no spare bits. */
+TEST(SetAssocCacheDeath, RejectsLinesWithoutSpareTagBits)
+{
+    EXPECT_EXIT(SetAssocCache("x", 2 * 2, 2, 2),
+                ::testing::ExitedWithCode(1), "spare tag bits");
 }

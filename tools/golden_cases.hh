@@ -29,14 +29,23 @@ struct GoldenCase {
     std::uint64_t seed;
     bool footprint;
     bool openLoop;
+    /** MSR geometry, cache-wide (0 = the BcConfig default). */
+    std::uint8_t msrSets = 0;
+    std::uint8_t msrEntriesPerSet = 0;
     /** BC shards, each with its own flash device (1 = unsharded). */
     std::uint32_t shards = 1;
 };
+// gtest prints a parameter's size and bytes into the names of the
+// tests instantiated over kGoldenCases; the MSR fields fill what was
+// padding so those names keep their "32-byte object" form.
+static_assert(sizeof(GoldenCase) == 32);
 
 // Mirrors kTortureCases in tests/test_invariants.cpp: one case per
 // system-kind/workload mix, fixed seeds, tatp both closed and open.
 // astriflash_tatp_shards4 pins the multi-shard miss path: the tatp
-// case over 4 BC shards and 4 flash devices.
+// case over 4 BC shards and 4 flash devices. astriflash_tatp_msrsat
+// pins the MSR set-full stall path: a 2-set x 2-entry MSR keeps
+// thousands of misses queued behind full sets.
 constexpr GoldenCase kGoldenCases[] = {
     {"astriflash_tatp", core::SystemKind::AstriFlash,
      workload::Kind::Tatp, 1, false, false},
@@ -51,7 +60,9 @@ constexpr GoldenCase kGoldenCases[] = {
     {"astriflash_tatp_openloop", core::SystemKind::AstriFlash,
      workload::Kind::Tatp, 6, false, true},
     {"astriflash_tatp_shards4", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 1, false, false, 4},
+     workload::Kind::Tatp, 1, false, false, 0, 0, 4},
+    {"astriflash_tatp_msrsat", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, 7, false, false, 2, 2},
 };
 
 /** The smallCfg used by the torture suite, verbatim. */
@@ -74,6 +85,10 @@ goldenCaseConfig(const GoldenCase &gc)
     if (gc.shards > 1) {
         cfg.dramCache.bc.shards = gc.shards;
         cfg.dramCache.fabric.devices = gc.shards;
+    }
+    if (gc.msrSets != 0) {
+        cfg.dramCache.bc.msrSets = gc.msrSets;
+        cfg.dramCache.bc.msrEntriesPerSet = gc.msrEntriesPerSet;
     }
     return cfg;
 }

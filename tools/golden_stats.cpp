@@ -4,7 +4,8 @@
  *
  * Runs one of the golden torture configurations (the set
  * test_invariants.cpp sweeps, tatp closed- and open-loop included,
- * plus a 4-shard tatp case) at its fixed seed and writes the headline results plus the full
+ * plus a 4-shard tatp case and an MSR-saturated tatp case) at its
+ * fixed seed and writes the headline results plus the full
  * hierarchical stats tree as JSON. The files under tests/golden/ were
  * captured from the pre-strong-type tree; the golden_stats_* ctests
  * re-run each case and require byte-identical output, so any refactor
