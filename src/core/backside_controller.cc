@@ -7,6 +7,8 @@
 #include "sim/logging.hh"
 #include "sim/trace_events.hh"
 
+#include "frontside_controller.hh"
+
 namespace {
 constexpr std::uint32_t kNoCore =
     astriflash::sim::TraceRecord::kNoCore;
@@ -17,17 +19,16 @@ namespace astriflash::core {
 BacksideController::BacksideController(
     sim::EventQueue &eq, std::string name,
     const DramCacheConfig &config, const mem::AddressMap &amap,
-    flash::Backend &flash_dev,
-    sim::BoundedChannel<MissRequest> &in_channel,
-    sim::BoundedChannel<FlashCmdMsg> &to_flash,
-    sim::BoundedChannel<InstallComplete> &to_fc,
-    sim::BoundedChannel<BcNotice> &to_fc_rsp,
-    sim::BoundedChannel<InstallGrant> &from_fc_ctl,
+    flash::Backend &flash_dev, FrontsideController &frontside,
     std::uint32_t msr_sets, std::uint32_t msr_entries_per_set,
     std::uint32_t evict_entries)
     : sim::SimObject(eq, std::move(name)), cfg(config), addrMap(amap),
-      flashDev(flash_dev), inbox(in_channel), toFlash(to_flash),
-      toFc(to_fc), toFcRsp(to_fc_rsp), fromFcCtl(from_fc_ctl),
+      flashDev(flash_dev), fc(frontside),
+      missQ(SimObject::name() + ".fc_to_bc", config.channels.fcToBcDepth),
+      flashQ(SimObject::name() + ".bc_to_flash",
+             config.channels.bcToFlashDepth),
+      readyQ(SimObject::name() + ".bc_to_fc",
+             config.channels.bcToFcDepth),
       msrTable(SimObject::name() + ".msr", msr_sets,
                msr_entries_per_set),
       evictBuf(SimObject::name() + ".evictbuf", evict_entries),
@@ -37,69 +38,41 @@ BacksideController::BacksideController(
     bcOpTicks = clk.cycles(cfg.bc.cyclesPerOp);
 }
 
-void
-BacksideController::bindChannels()
+BcReply
+BacksideController::request(const MissRequest &req, sim::Ticks now)
 {
-    // The submit path is bc-owned, so the command channel drains
-    // inside the push that filled it: issueRead's issued-assertion
-    // depends on it and the seam honestly declares zero lookahead.
-    toFlash.setDrainHook([this] { pumpFlash(); });
-    // Service the whole miss chain nested inside the producer's push,
-    // exactly like the pre-split facade pump.
-    inbox.setDrainHook([this] {
-        while (!inbox.empty())
-            serviceHead();
-    });
-    fromFcCtl.setDrainHook([this] { pumpCtl(); });
-}
-
-void
-BacksideController::serviceHead()
-{
-    ASTRI_ASSERT_MSG(!inbox.empty(),
-                     "%s: serviceHead() with an empty miss channel",
-                     name().c_str());
-    auto &st = inbox.front();
-    const MissRequest req = st.msg;
-    const sim::Ticks accept = st.acceptedAt;
-
-    BcNotice ack;
-    ack.kind = BcNotice::Kind::MissAck;
-    ack.page = req.page;
+    BcReply rep;
+    rep.accepted = missQ.acquire(now);
+    const sim::Ticks accept = rep.accepted;
 
     if (!req.subPage && evictBuf.contains(req.page)) {
         // The page is parked in the evict buffer awaiting writeback;
         // serve the request from there. (Footprint sub-page refetches
         // target a resident page, which cannot be parked here.)
-        ack.reply.kind = BcReply::Kind::EvictBufferHit;
-        ack.reply.ready = accept + bcOp();
-        inbox.dropFront(ack.reply.ready);
-        toFcRsp.push(ack, ack.reply.ready);
-        return;
+        rep.kind = BcReply::Kind::EvictBufferHit;
+        rep.ready = accept + bcOp();
+        missQ.release(rep.ready);
+        return rep;
     }
 
-    ack.reply.kind = BcReply::Kind::MissStarted;
     // One hash of the page per request: the entry stays put until the
     // page installs, so the reference outlives the flash issue below.
     auto [it, fresh] = pending.try_emplace(req.page);
     PendingMiss &miss = it->second;
-    ack.reply.merged = !fresh;
+    rep.merged = !fresh;
     if (fresh)
         startMiss(req, miss, accept);
     else
         mergeMiss(req, miss, accept);
-    ack.reply.ready = miss.dataReady;
+    rep.ready = miss.dataReady;
     if (req.hasWaiter)
         miss.waiters.push_back(req.waiter);
     // Merged requests ride the original transaction's slot and only
     // pay the BC's dequeue + MSR search; a new miss holds its slot
-    // until the page's install completes, making the channel depth
-    // the BC's outstanding-transaction window. Either way the BC
-    // consumes the request after its dequeue + MSR-search ops.
-    const sim::Ticks consumed = accept + 2 * bcOp();
-    inbox.dropFront(consumed,
-                    ack.reply.merged ? consumed : miss.dataReady);
-    toFcRsp.push(ack, consumed);
+    // until the page's install completes, making the queue depth the
+    // BC's outstanding-transaction window.
+    missQ.release(rep.merged ? accept + 2 * bcOp() : miss.dataReady);
+    return rep;
 }
 
 void
@@ -122,8 +95,8 @@ BacksideController::startMiss(const MissRequest &req, PendingMiss &miss,
 {
     const mem::PageNum page = req.page;
     miss.anyWrite = req.write;
-    // Footprint history is fc-owned; the producer snapshotted the
-    // page's recorded footprint into the request at push time.
+    // Footprint history is FC-owned; the FC snapshotted the page's
+    // recorded footprint into the request.
     miss.fetchMask = cfg.footprintEnabled && req.histValid
         ? (req.histMask | req.wantMask) : ~0ull;
 
@@ -168,69 +141,34 @@ BacksideController::startMiss(const MissRequest &req, PendingMiss &miss,
 }
 
 void
-BacksideController::issueRead(mem::PageNum page, const PendingMiss &miss,
+BacksideController::issueRead(mem::PageNum page, PendingMiss &miss,
                               sim::Ticks at)
 {
+    ASTRI_ASSERT_MSG(!miss.issued, "flash read for %llx issued twice",
+                     static_cast<unsigned long long>(
+                         pageByteAddr(page)));
     sim::traceEvent(sim::TracePoint::MsrInsert, at, kNoCore,
                     pageByteAddr(page), msrTable.occupancy());
     const std::uint64_t fetch_bytes =
         static_cast<std::uint64_t>(std::popcount(miss.fetchMask)) *
         mem::kBlockSize;
-    // The command channel's drain submits the read and reports back
-    // through flashReadIssued(), which stamps dataReady and schedules
-    // the arrival.
-    toFlash.push(
-        FlashCmdMsg{
-            flash::FlashCommand{flash::FlashCommand::Op::Read,
-                                addrMap.flashPage(pageByteAddr(page)),
-                                mem::Bytes(fetch_bytes)},
-            page},
-        at);
-    ASTRI_ASSERT_MSG(miss.issued,
-                     "flash read for %llx was not issued by the "
-                     "command channel drain",
-                     static_cast<unsigned long long>(
-                         pageByteAddr(page)));
-}
-
-void
-BacksideController::pumpFlash()
-{
-    while (!toFlash.empty()) {
-        auto &st = toFlash.front();
-        const FlashCmdMsg msg = st.msg;
-        const sim::Ticks issued = st.acceptedAt;
-        const flash::FlashCommandResult res =
-            flashDev.submit(msg.cmd, issued);
-        // The slot drains when the device finishes the read or
-        // accepts the write, so the depth models the device command
-        // queue; the declared zero lookahead matches the synchronous
-        // submit (the seam never leaves this domain).
-        toFlash.dropFront(issued, res.complete);
-        if (msg.cmd.op == flash::FlashCommand::Op::Read)
-            flashReadIssued(msg.page, issued, res.complete);
-    }
-}
-
-void
-BacksideController::flashReadIssued(mem::PageNum page,
-                                    sim::Ticks issued_at,
-                                    sim::Ticks complete_at)
-{
-    auto it = pending.find(page);
-    ASTRI_ASSERT_MSG(it != pending.end() && !it->second.issued,
-                     "read completion for %llx without an un-issued "
-                     "pending miss",
-                     static_cast<unsigned long long>(
-                         pageByteAddr(page)));
-    const std::uint64_t fetch_bytes =
-        static_cast<std::uint64_t>(
-            std::popcount(it->second.fetchMask)) * mem::kBlockSize;
-    sim::traceEvent(sim::TracePoint::FlashReadIssue, issued_at,
-                    kNoCore, pageByteAddr(page), fetch_bytes);
-    it->second.issued = true;
-    it->second.dataReady = complete_at + bcOp() + installEstimate();
-    const sim::Ticks arrive = std::max(complete_at, curTick());
+    // The slot drains when the device finishes the read, so the depth
+    // models the device command queue.
+    const sim::Ticks issued = flashQ.acquire(at);
+    const sim::Ticks complete =
+        flashDev
+            .submit(flash::FlashCommand{flash::FlashCommand::Op::Read,
+                                        addrMap.flashPage(
+                                            pageByteAddr(page)),
+                                        mem::Bytes(fetch_bytes)},
+                    issued)
+            .complete;
+    flashQ.release(complete);
+    sim::traceEvent(sim::TracePoint::FlashReadIssue, issued, kNoCore,
+                    pageByteAddr(page), fetch_bytes);
+    miss.issued = true;
+    miss.dataReady = complete + bcOp() + installEstimate();
+    const sim::Ticks arrive = std::max(complete, curTick());
     arrivals.emplace(arrive, page);
     scheduleIn(arrive - curTick(), [this] { pageArrived(); });
 }
@@ -275,42 +213,9 @@ BacksideController::pageArrived()
         fetch_bytes > cfg.pageBytes ? cfg.pageBytes : fetch_bytes);
 
     // Securing a frame needs the tag array, the DRAM model, and the
-    // footprint masks — all fc-owned. Request the install across the
-    // seam; the grant comes back on the ctl channel and finishes the
-    // miss in finishInstall().
-    BcNotice n;
-    n.kind = BcNotice::Kind::InstallReq;
-    n.page = page;
-    n.fetchMask = fetch_mask;
-    n.dirty = pit->second.anyWrite;
-    toFcRsp.push(n, now);
-}
-
-void
-BacksideController::pumpCtl()
-{
-    const sim::Ticks lat = fromFcCtl.contract().minLatency;
-    while (!fromFcCtl.empty()) {
-        const auto &st = fromFcCtl.front();
-        const InstallGrant grant = st.msg;
-        // Finish the miss at the grant's accept tick: the whole install
-        // chain is one nested call at the arrival tick, byte-identical
-        // to the pre-split controller.
-        const sim::Ticks act = st.acceptedAt;
-        fromFcCtl.dropFront(act + lat);
-        finishInstall(grant, act);
-    }
-}
-
-void
-BacksideController::finishInstall(const InstallGrant &grant,
-                                  sim::Ticks now)
-{
-    auto pit = pending.find(grant.page);
-    ASTRI_ASSERT_MSG(pit != pending.end(),
-                     "install grant for page %llx with no pending miss",
-                     static_cast<unsigned long long>(
-                         pageByteAddr(grant.page)));
+    // footprint masks — all FC-owned — so the FC runs the install.
+    const InstallGrant grant =
+        fc.install(page, fetch_mask, pit->second.anyWrite, now);
     statsData.fills.inc();
 
     // A displaced victim parks in the evict buffer and drains to
@@ -336,17 +241,19 @@ BacksideController::finishInstall(const InstallGrant &grant,
     const sim::Ticks ready = grant.installComplete + bcOp();
     statsData.missPenalty.sample(ready > now ? ready - now : 0);
     sim::traceEvent(sim::TracePoint::PageFill, ready, kNoCore,
-                    pageByteAddr(grant.page),
-                    ready > now ? ready - now : 0);
+                    pageByteAddr(page), ready > now ? ready - now : 0);
 
     // Free the MSR entry and unblock the set's oldest waiter.
-    msrTable.free(grant.page);
-    retryMsrStalled(grant.page, now);
+    msrTable.free(page);
+    retryMsrStalled(page, now);
 
-    auto waiters = std::move(pit->second.waiters);
+    const std::vector<WaiterCookie> waiters =
+        std::move(pit->second.waiters);
     pending.erase(pit);
-    toFc.push(InstallComplete{grant.page, ready, std::move(waiters)},
-              now);
+    // The completion's slot recycles once the wakeup lands.
+    const sim::Ticks accept = readyQ.acquire(now);
+    readyQ.release(ready > accept ? ready : accept);
+    fc.pageReady(page, ready, waiters);
 }
 
 void
@@ -383,14 +290,16 @@ BacksideController::drainEvictBuffer(sim::Ticks now)
     sim::traceEvent(sim::TracePoint::EvictDrain, now, kNoCore,
                     pageByteAddr(e.page), e.dirty ? 1 : 0);
     if (e.dirty) {
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Write,
-                                    addrMap.flashPage(
-                                        pageByteAddr(e.page)),
-                                    mem::Bytes{0}},
-                e.page},
-            now);
+        // The slot drains when the device accepts the page.
+        const sim::Ticks issued = flashQ.acquire(now);
+        flashQ.release(
+            flashDev
+                .submit(flash::FlashCommand{flash::FlashCommand::Op::Write,
+                                            addrMap.flashPage(
+                                                pageByteAddr(e.page)),
+                                            mem::Bytes{0}},
+                        issued)
+                .complete);
         statsData.dirtyWritebacks.inc();
     }
 }
@@ -546,9 +455,9 @@ BacksideController::auditShared(sim::InvariantChecker &chk,
         // resident pages, so residency and pending can coexist.
         return;
     }
-    // Cross-domain audit at a quiesce point: a full-page miss cannot
-    // coexist with a resident copy. The tag array is fc-owned and
-    // passed by const reference — the BC never holds it.
+    // Cross-controller audit at a quiesce point: a full-page miss
+    // cannot coexist with a resident copy. The tag array is FC-owned
+    // and passed by const reference — the BC never holds it.
     // Audit-only, order-insensitive walk (baselined AF015).
     for (const auto &[page, miss] : pending) {
         (void)miss;

@@ -3,26 +3,19 @@
  * Backside controller (BC) of the DRAM cache (§IV-B, Fig. 5).
  *
  * The BC is the programmable (slower per operation) half of the
- * controller pair: it drains MissRequests off the FC→BC channel,
- * deduplicates them through the in-DRAM Miss Status Row, issues 4 KB
- * flash reads through its own flash::Backend submit path, parks
- * victims in the evict buffer, and writes dirty victims back to flash
- * off the critical path.
+ * controller pair: it services the FC's MissRequests, deduplicates
+ * them through the in-DRAM Miss Status Row, issues 4 KB flash reads
+ * through its flash::Backend, parks victims in the evict buffer, and
+ * writes dirty victims back to flash off the critical path.
  *
- * Single-owner seam (DESIGN.md §11): the BC owns the MSR, the evict
- * buffer, the pending-miss table, and the flash submit path — and
- * nothing else. The page tags, the DRAM model, and the footprint
- * state are fc-owned; whenever the BC needs them (seeding a fetch
- * mask from footprint history, installing an arrived page) the data
- * crosses the seam as message fields: MissRequest::histMask inbound,
- * a BcNotice::InstallReq outbound answered by an InstallGrant. The BC
- * never names the frontside controller or a concrete flash device
- * (aflint AF013/AF014); all its inputs and outputs are channels plus
- * the abstract flash::Backend.
- *
- * The BC drains its own inbound channels through synchronous drain
- * hooks, which keeps the whole miss chain nested inside the
- * producer's push exactly like the pre-split facade pump.
+ * Ownership (DESIGN.md §11): the BC owns the MSR, the evict buffer,
+ * the pending-miss table, the flash submit path and its shard's three
+ * hardware queues (fc_to_bc, bc_to_flash, bc_to_fc). The page tags,
+ * the DRAM model, and the footprint state are FC-owned; the BC sees
+ * them only through call arguments: MissRequest::histMask inbound,
+ * and FrontsideController::install() when a read arrives, which runs
+ * the tag fill and DRAM install and returns an InstallGrant. The BC
+ * never names a concrete flash device (aflint AF014).
  */
 
 #ifndef ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
@@ -49,6 +42,8 @@
 
 namespace astriflash::core {
 
+class FrontsideController;
+
 /** The DRAM cache's programmable miss engine. */
 class BacksideController : public sim::SimObject
 {
@@ -69,27 +64,25 @@ class BacksideController : public sim::SimObject
      *        shardSlice()).
      * @param flash_dev the shard's submit path. The BC derives its
      *        conservative read estimate from it.
+     * @param frontside installs arrived pages and wakes their waiters.
      */
     BacksideController(sim::EventQueue &eq, std::string name,
                        const DramCacheConfig &config,
                        const mem::AddressMap &amap,
                        flash::Backend &flash_dev,
-                       sim::BoundedChannel<MissRequest> &inbox,
-                       sim::BoundedChannel<FlashCmdMsg> &to_flash,
-                       sim::BoundedChannel<InstallComplete> &to_fc,
-                       sim::BoundedChannel<BcNotice> &to_fc_rsp,
-                       sim::BoundedChannel<InstallGrant> &from_fc_ctl,
+                       FrontsideController &frontside,
                        std::uint32_t msr_sets,
                        std::uint32_t msr_entries_per_set,
                        std::uint32_t evict_entries);
 
     /**
-     * Install this controller's channel hooks. Both controllers
-     * declare bindChannels(); the facade calls it after channel
-     * construction, once per controller: synchronous drain hooks on
-     * the inbox, the ctl channel, and the BC→flash command channel.
+     * Service one FC request arriving at @p now: take an fc_to_bc
+     * slot, then the evict-buffer short-circuit, or MSR dedup/alloc
+     * and the flash issue. The slot is released at the transaction's
+     * completion tick, so the queue depth bounds the BC's
+     * outstanding-transaction window.
      */
-    void bindChannels();
+    BcReply request(const MissRequest &req, sim::Ticks now);
 
     /** Outstanding (in-flight) misses right now. */
     std::uint32_t
@@ -113,8 +106,8 @@ class BacksideController : public sim::SimObject
     void checkInvariants(sim::InvariantChecker &chk) const;
 
     /**
-     * Cross-domain audit run at quiesce points (both controllers
-     * declare auditShared; the facade invokes them with the fc-owned
+     * Cross-controller audit run at quiesce points (both controllers
+     * declare auditShared; the facade invokes them with the FC-owned
      * structures passed by const ref): no page may be both resident
      * in @p tags and pending here.
      */
@@ -124,6 +117,13 @@ class BacksideController : public sim::SimObject
     const Stats &stats() const { return statsData; }
     const MissStatusRow &msr() const { return msrTable; }
     const EvictBuffer &evictBuffer() const { return evictBuf; }
+
+    /** FC→BC transaction queue (held per request). */
+    const sim::BoundedChannel &missQueue() const { return missQ; }
+    /** BC→flash device command queue. */
+    const sim::BoundedChannel &flashQueue() const { return flashQ; }
+    /** BC→FC page-ready completion queue. */
+    const sim::BoundedChannel &readyQueue() const { return readyQ; }
 
   private:
     struct PendingMiss {
@@ -162,21 +162,6 @@ class BacksideController : public sim::SimObject
     }
 
     /**
-     * Service the MissRequest at the head of the FC→BC channel:
-     * evict-buffer short-circuit, MSR dedup/alloc, flash issue. The
-     * slot is released at the transaction's completion tick, so the
-     * channel depth bounds the BC's outstanding-transaction window.
-     * The reply leaves through the BC→FC response channel.
-     */
-    void serviceHead();
-
-    /** Submit queued flash commands; reads schedule their arrival. */
-    void pumpFlash();
-
-    /** Drain every InstallGrant off the FC→BC ctl channel. */
-    void pumpCtl();
-
-    /**
      * A request for a page that already has a pending miss: widen the
      * fetch and mark it dirty as @p req asks.
      */
@@ -191,25 +176,22 @@ class BacksideController : public sim::SimObject
     void startMiss(const MissRequest &req, PendingMiss &miss,
                    sim::Ticks now);
 
-    /** Submit the flash read of the MSR-admitted @p page at @p at. */
-    void issueRead(mem::PageNum page, const PendingMiss &miss,
-                   sim::Ticks at);
+    /**
+     * Submit the flash read of the MSR-admitted @p page at @p at
+     * through the bc_to_flash queue: stamp the miss's ready tick and
+     * schedule the page's arrival.
+     */
+    void issueRead(mem::PageNum page, PendingMiss &miss, sim::Ticks at);
 
     /** Expected cost of installing one page into its frame. */
     sim::Ticks installEstimate() const;
 
-    /** A read completed: stamp the miss, schedule the arrival. */
-    void flashReadIssued(mem::PageNum page, sim::Ticks issued_at,
-                         sim::Ticks complete_at);
-
     /**
      * A read's arrival event: take the earliest-issued read due now
-     * off arrivals and request its fc-side install.
+     * off arrivals, have the FC install it, and finish the miss:
+     * evict path, MSR free, waiters.
      */
     void pageArrived();
-
-    /** The FC installed the page: evict path, MSR free, waiters. */
-    void finishInstall(const InstallGrant &grant, sim::Ticks now);
 
     /**
      * The MSR entry of @p freed was just released: issue the oldest
@@ -226,11 +208,10 @@ class BacksideController : public sim::SimObject
     const DramCacheConfig &cfg;
     const mem::AddressMap &addrMap;
     flash::Backend &flashDev;
-    sim::BoundedChannel<MissRequest> &inbox;
-    sim::BoundedChannel<FlashCmdMsg> &toFlash;
-    sim::BoundedChannel<InstallComplete> &toFc;
-    sim::BoundedChannel<BcNotice> &toFcRsp;
-    sim::BoundedChannel<InstallGrant> &fromFcCtl;
+    FrontsideController &fc;
+    sim::BoundedChannel missQ;
+    sim::BoundedChannel flashQ;
+    sim::BoundedChannel readyQ;
     MissStatusRow msrTable;
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;

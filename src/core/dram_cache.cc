@@ -13,11 +13,11 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
                config.pageBytes, config.ways),
       fcCtl(SimObject::name() + ".fc", cfg, dramModel, pageTags,
-            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl)
+            footprint, bcCtls)
 {
-    // Bad user configuration, not an invariant: SIM_CHECK compiles
-    // out in plain Release, and shards=0 would SIGFPE in the slice
-    // division below before any armed check could fire.
+    // Bad user configuration, not invariants: SIM_CHECK compiles out
+    // in plain Release, shards=0 would SIGFPE in the slice division
+    // below, and an empty slice would panic mid-run.
     const std::uint32_t shards = cfg.bc.shards;
     if (shards == 0)
         ASTRI_FATAL("%s: at least one BC shard required",
@@ -34,11 +34,14 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
             shardSlice(cfg.bc.msrSets, shards, i);
         const std::uint32_t evict_entries =
             shardSlice(cfg.bc.evictBufferEntries, shards, i);
-        SIM_CHECK_MSG(msr_sets >= 1 && evict_entries >= 1,
-                      "%s: shard %u's slice is empty (%u MSR sets, %u "
-                      "evict entries) — fewer shards or more capacity",
-                      SimObject::name().c_str(), i, msr_sets,
-                      evict_entries);
+        if (msr_sets < 1 || evict_entries < 1)
+            ASTRI_FATAL("%s: %u BC shards leave shard %u with %u MSR "
+                        "sets and %u evict-buffer entries (cache-wide "
+                        "%u MSR sets, %u evict-buffer entries); use "
+                        "fewer shards or more capacity",
+                        SimObject::name().c_str(), shards, i, msr_sets,
+                        evict_entries, cfg.bc.msrSets,
+                        cfg.bc.evictBufferEntries);
         msr_set_sum += msr_sets;
         evict_sum += evict_entries;
     }
@@ -51,68 +54,14 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
                   static_cast<unsigned long long>(evict_sum),
                   cfg.bc.msrSets, cfg.bc.evictBufferEntries);
 
-    fcToBc.reserve(shards);
-    bcToFlash.reserve(shards);
-    bcToFc.reserve(shards);
-    bcToFcRsp.reserve(shards);
-    fcToBcCtl.reserve(shards);
     bcCtls.reserve(shards);
-    // The lookahead manifest, converted from BC-op multiples to
-    // ticks. fc_to_bc and bc_to_flash are fed at skewed core-local
-    // clocks through the FC's synchronous probe, so only bc_to_fc —
-    // pushed exclusively by the arrival event handler — declares
-    // monotone push ticks. The rsp channel mixes probe-clocked acks
-    // with event-clocked install requests and the ctl channel answers
-    // them, so neither declares monotonicity.
-    const sim::ClockDomain clk(cfg.controllerFreqHz);
-    const sim::Ticks op = clk.cycles(cfg.bc.cyclesPerOp);
-    const sim::ChannelContract miss_contract{
-        op * cfg.channels.fcToBcMinLatencyOps, false};
-    const sim::ChannelContract flash_contract{
-        op * cfg.channels.bcToFlashMinLatencyOps, false};
-    const sim::ChannelContract install_contract{
-        op * cfg.channels.bcToFcMinLatencyOps, true};
-    const sim::ChannelContract rsp_contract{
-        op * cfg.channels.bcToFcRspMinLatencyOps, false};
-    const sim::ChannelContract ctl_contract{
-        op * cfg.channels.fcToBcCtlMinLatencyOps, false};
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        const std::string tag = shardTag(i);
-        fcToBc.push_back(
-            std::make_unique<sim::BoundedChannel<MissRequest>>(
-                SimObject::name() + ".fc_to_bc" + tag,
-                cfg.channels.fcToBcDepth, miss_contract));
-        bcToFlash.push_back(
-            std::make_unique<sim::BoundedChannel<FlashCmdMsg>>(
-                SimObject::name() + ".bc_to_flash" + tag,
-                cfg.channels.bcToFlashDepth, flash_contract));
-        bcToFc.push_back(
-            std::make_unique<sim::BoundedChannel<InstallComplete>>(
-                SimObject::name() + ".bc_to_fc" + tag,
-                cfg.channels.bcToFcDepth, install_contract));
-        bcToFcRsp.push_back(
-            std::make_unique<sim::BoundedChannel<BcNotice>>(
-                SimObject::name() + ".bc_to_fc_rsp" + tag,
-                cfg.channels.bcToFcRspDepth, rsp_contract));
-        fcToBcCtl.push_back(
-            std::make_unique<sim::BoundedChannel<InstallGrant>>(
-                SimObject::name() + ".fc_to_bc_ctl" + tag,
-                cfg.channels.fcToBcCtlDepth, ctl_contract));
-    }
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
-            eq,
-            SimObject::name() + ".bc" + shardTag(i), cfg, amap, flash,
-            *fcToBc[i], *bcToFlash[i], *bcToFc[i], *bcToFcRsp[i],
-            *fcToBcCtl[i], shardSlice(cfg.bc.msrSets, shards, i),
+            eq, SimObject::name() + ".bc" + shardTag(i), cfg, amap,
+            flash, fcCtl, shardSlice(cfg.bc.msrSets, shards, i),
             cfg.bc.msrEntriesPerSet,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
     }
-
-    // Each controller drains its own inbound channels.
-    for (auto &bc : bcCtls)
-        bc->bindChannels();
-    fcCtl.bindChannels();
 }
 
 std::string
@@ -190,11 +139,10 @@ DramCache::regStats(sim::StatRegistry &reg) const
     pageTags.regStats(reg.subRegistry("tags"));
     for (std::uint32_t i = 0; i < shardCount(); ++i) {
         const std::string tag = shardTag(i);
-        fcToBc[i]->regStats(reg.subRegistry("fc_to_bc" + tag));
-        bcToFlash[i]->regStats(reg.subRegistry("bc_to_flash" + tag));
-        bcToFc[i]->regStats(reg.subRegistry("bc_to_fc" + tag));
-        // The rsp/ctl channels stay out of the stat tree so the
-        // pre-split goldens remain byte-identical.
+        const BacksideController &bc = *bcCtls[i];
+        bc.missQueue().regStats(reg.subRegistry("fc_to_bc" + tag));
+        bc.flashQueue().regStats(reg.subRegistry("bc_to_flash" + tag));
+        bc.readyQueue().regStats(reg.subRegistry("bc_to_fc" + tag));
     }
 }
 

@@ -4,35 +4,28 @@
  *
  * The cache is a fast FSM frontside controller
  * (frontside_controller.hh) and N page-interleaved backside-controller
- * shards (backside_controller.hh) that exchange state ONLY through
- * bounded, tick-stamped channels — five per shard:
+ * shards (backside_controller.hh) that call each other directly:
  *
- *   FC --MissRequest-->     BC<i>   (fc_to_bc<i>, the shard's queue)
- *   BC<i> --FlashCmdMsg-->  BC<i>   (bc_to_flash<i>, command queue;
- *                                    the shard submits through its
- *                                    abstract flash::Backend)
- *   BC<i> --BcNotice-->     FC      (bc_to_fc_rsp<i>: miss acks +
- *                                    install requests)
- *   FC --InstallGrant-->    BC<i>   (fc_to_bc_ctl<i>: tag fill +
- *                                    DRAM install results)
- *   BC<i> --InstallComplete--> FC   (bc_to_fc<i>, waiter wakeups)
+ *   FC    --request()-->    BC<i>   (a missing page; BcReply back)
+ *   BC<i> --install()-->    FC      (an arrived page; InstallGrant back)
+ *   BC<i> --pageReady()-->  FC      (wake the merged waiters)
+ *
+ * Each shard models three hardware queues as sim::BoundedChannel
+ * occupancy, named by shard in the stats tree: fc_to_bc<i> (its
+ * transaction queue), bc_to_flash<i> (its device command queue) and
+ * bc_to_fc<i> (page-ready completions).
  *
  * A page's shard is mem::pageInterleave(page, shards); each shard owns
  * an equal slice of the cache-wide MSR and evict-buffer capacity
- * (shardSlice(), checked at construction to sum exactly to the
- * configured totals). The facade owns the fc-side shared structures
- * (DRAM device, tag array, footprint masks) on the frontside domain,
- * constructs the channels and the controllers, and wires each
- * controller to drain its OWN inbound channels — the facade itself
- * pumps nothing and makes no synchronous controller-to-controller
- * calls. It is the single allowlisted place (aflint AF013) where both
- * controllers are visible at once, and the flash back-end it hands
- * each shard is only ever the abstract flash::Backend (aflint AF014
- * keeps the concrete device types out of src/core entirely).
+ * (shardSlice(); a shard count that leaves a slice empty is a fatal
+ * configuration error). The facade owns the FC-side shared structures
+ * (DRAM device, tag array, footprint masks) and constructs the
+ * controllers. The flash back-end it hands each shard is only ever the
+ * abstract flash::Backend (aflint AF014 keeps the concrete device
+ * types out of src/core entirely).
  *
- * With one shard the channel, controller, and stat names collapse to
- * the pre-sharding spellings ("bc", "fc_to_bc", ...) and the facade is
- * cycle-for-cycle identical to the unsharded cache — the property the
+ * With one shard the queue, controller, and stat names collapse to
+ * the pre-sharding spellings ("bc", "fc_to_bc", ...), the property the
  * golden-stats byte-identity tests pin. With several, shard-scoped
  * names ("bc<i>", "fc_to_bc<i>", ...) keep every stat addressable.
  *
@@ -68,7 +61,7 @@
 
 namespace astriflash::core {
 
-/** The AstriFlash DRAM cache: FC + sharded BCs over bounded channels. */
+/** The AstriFlash DRAM cache: an FC and its sharded BCs. */
 class DramCache : public sim::SimObject
 {
   public:
@@ -175,7 +168,7 @@ class DramCache : public sim::SimObject
         return total;
     }
 
-    /** Zero all statistics (end of warmup). Channel counters are
+    /** Zero all statistics (end of warmup). Queue counters are
      *  lifetime (conservation laws must survive the reset). */
     void resetStats();
 
@@ -184,15 +177,14 @@ class DramCache : public sim::SimObject
      * "fc" (frontside: hit/miss accounting), one backside registry per
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
-     * shard's channels ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
-     * "bc_to_fc[<i>]"; the rsp/ctl channels stay out of the tree,
-     * which keeps it byte-identical to the pre-split goldens).
+     * shard's queues ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
+     * "bc_to_fc[<i>]").
      */
     void regStats(sim::StatRegistry &reg) const;
 
     /** Audit the FC and every BC shard, including the cross-side
      *  auditShared sweeps over the fc-owned structures. The MSRs,
-     *  evict buffers, tag array, and channels register their own
+     *  evict buffers, tag array, and queues register their own
      *  invariant entries (see System::registerInvariants). */
     void checkInvariants(sim::InvariantChecker &chk) const;
 
@@ -239,34 +231,22 @@ class DramCache : public sim::SimObject
     const mem::Dram &dram() const { return dramModel; }
     const DramCacheConfig &config() const { return cfg; }
 
-    const sim::BoundedChannel<MissRequest> &
+    const sim::BoundedChannel &
     missChannel(std::uint32_t shard = 0) const
     {
-        return *fcToBc[shard];
+        return bcCtls[shard]->missQueue();
     }
 
-    const sim::BoundedChannel<FlashCmdMsg> &
+    const sim::BoundedChannel &
     flashChannel(std::uint32_t shard = 0) const
     {
-        return *bcToFlash[shard];
+        return bcCtls[shard]->flashQueue();
     }
 
-    const sim::BoundedChannel<InstallComplete> &
+    const sim::BoundedChannel &
     installChannel(std::uint32_t shard = 0) const
     {
-        return *bcToFc[shard];
-    }
-
-    const sim::BoundedChannel<BcNotice> &
-    rspChannel(std::uint32_t shard = 0) const
-    {
-        return *bcToFcRsp[shard];
-    }
-
-    const sim::BoundedChannel<InstallGrant> &
-    ctlChannel(std::uint32_t shard = 0) const
-    {
-        return *fcToBcCtl[shard];
+        return bcCtls[shard]->readyQueue();
     }
 
   private:
@@ -277,18 +257,9 @@ class DramCache : public sim::SimObject
     mem::Dram dramModel;
     mem::SetAssocCache pageTags;
     FootprintState footprint;
-    std::vector<std::unique_ptr<sim::BoundedChannel<MissRequest>>>
-        fcToBc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<FlashCmdMsg>>>
-        bcToFlash;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-        bcToFc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
-        bcToFcRsp;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-        fcToBcCtl;
-    FrontsideController fcCtl;
+    /** Declared before the FC, which routes misses through it. */
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
+    FrontsideController fcCtl;
 };
 
 } // namespace astriflash::core

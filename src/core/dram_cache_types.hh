@@ -44,46 +44,19 @@ struct BcConfig {
 };
 
 /**
- * Depths of the three controller channels (FC→BC miss requests,
- * BC→flash commands, BC→FC install completions), per BC shard. A slot
- * is held for the lifetime of the transaction the message carries, so
- * the miss-channel depth is effectively the BC's transaction window.
- * The defaults are effectively unbounded — the decomposition is
- * timing-neutral — while small depths turn backpressure into
- * measured stall ticks (bench/ablation_astriflash sweeps this).
+ * Depths of the three hardware queues of each BC shard: fc_to_bc (the
+ * BC's transaction queue), bc_to_flash (the device command queue) and
+ * bc_to_fc (page-ready completions). A slot is held for the lifetime
+ * of the transaction it carries, so the fc_to_bc depth is effectively
+ * the BC's transaction window. The defaults are effectively unbounded
+ * — the queues are timing-neutral — while small depths turn
+ * backpressure into measured stall ticks (bench/ablation_astriflash
+ * sweeps this).
  */
 struct ChannelConfig {
     std::uint32_t fcToBcDepth = 65536;
     std::uint32_t bcToFlashDepth = 65536;
     std::uint32_t bcToFcDepth = 65536;
-    /** BC→FC response channel (miss acks + install requests). */
-    std::uint32_t bcToFcRspDepth = 65536;
-    /** FC→BC install-grant channel. */
-    std::uint32_t fcToBcCtlDepth = 65536;
-
-    /**
-     * Lookahead manifest (DESIGN.md §14): each channel's declared
-     * minimum push-to-consume latency, in BC operations
-     * (BcConfig::cyclesPerOp at the controller clock), certified at
-     * runtime by sim::CausalityAuditor.
-     *
-     * - fc_to_bc: the BC spends at least one op dequeuing a request
-     *   before acting on it.
-     * - bc_to_flash: commands issue the moment the channel accepts
-     *   them (the facade's pump runs in the same call chain), so the
-     *   seam honestly declares zero lookahead.
-     * - bc_to_fc: an install completion is consumed no earlier than
-     *   the install's trailing BC op after the arrival event that
-     *   pushed it.
-     * - bc_to_fc_rsp / fc_to_bc_ctl: acks, install requests, and
-     *   install grants each cost the consumer at least one op before
-     *   it acts.
-     */
-    std::uint32_t fcToBcMinLatencyOps = 1;
-    std::uint32_t bcToFlashMinLatencyOps = 0;
-    std::uint32_t bcToFcMinLatencyOps = 1;
-    std::uint32_t bcToFcRspMinLatencyOps = 1;
-    std::uint32_t fcToBcCtlMinLatencyOps = 1;
 };
 
 /** DRAM cache parameters. */
@@ -158,12 +131,12 @@ dcSetRowAddr(const DramCacheConfig &cfg, std::uint64_t num_sets,
 }
 
 /**
- * Footprint-mode residency masks, owned by the FC's domain: the FC
- * records touched blocks, detects sub-page misses, snapshots history
- * into MissRequest::histMask, and maintains the masks across
- * install/evict when it services the BC's install requests. The BC
- * never touches this structure — it sees only message fields. Held by
- * the facade (it also prewarms into it).
+ * Footprint-mode residency masks, owned by the FC: the FC records
+ * touched blocks, detects sub-page misses, snapshots history into
+ * MissRequest::histMask, and maintains the masks across install/evict
+ * when the BC asks it to install a page. The BC never touches this
+ * structure — it sees only call arguments. Held by the facade (it
+ * also prewarms into it).
  */
 struct FootprintState {
     /** Blocks actually transferred for each resident page. */

@@ -4,32 +4,22 @@
  *
  * The FC extends a conventional DRAM controller: it RASes the set's
  * row, CASes the tag column, compares tags, and either CASes the data
- * (hit) or emits a MissRequest into the FC→BC channel and returns a
- * miss response so the on-chip MSHRs can be reclaimed. It is a
- * 1-cycle-per-op FSM; everything slower (MSR dedup, flash issue) lives
- * behind the channels in the backside controller.
+ * (hit) or hands a MissRequest to the page's backside-controller shard
+ * and returns a miss response so the on-chip MSHRs can be reclaimed.
+ * It is a 1-cycle-per-op FSM; everything slower (MSR dedup, flash
+ * issue) lives in the backside controller.
  *
- * Single-owner seam (DESIGN.md §11): the FC owns the tag array, the
- * DRAM device model, and the footprint masks — the three structures
- * the pre-split backside mutated by reference (the retired AF022
- * baseline entries). Backside reads of them became message fields:
- * footprint history is snapshotted into MissRequest::histMask at push
- * time, and a page install is a BcNotice::InstallReq the FC answers
- * with an InstallGrant after running the tag fill and the DRAM install
- * access itself. The FC never names the backside controller, the MSR,
- * the evict buffer, or the flash device (aflint AF013): its inputs
- * are the bc_to_fc_rsp / bc_to_fc channels and its outputs are the
- * fc_to_bc / fc_to_bc_ctl channels.
+ * Ownership (DESIGN.md §11): the FC owns the tag array, the DRAM
+ * device model, and the footprint masks. The backside sees them only
+ * through call arguments: footprint history is snapshotted into
+ * MissRequest::histMask, and when a read arrives the BC calls
+ * install(), which runs the tag fill and the DRAM install access and
+ * returns an InstallGrant. The BC then calls pageReady() to wake the
+ * merged waiters. The FC never names the MSR, the evict buffer, or
+ * the flash device.
  *
- * Completion is fused: the miss-channel push synchronously runs the
- * backside's drain, whose MissAck lands back here — through the
- * response channel's own drain hook — before the push returns. The
- * access completes in one call chain, byte-identical to the pre-split
- * controller.
- *
- * With backside sharding (BcConfig::shards > 1) the FC holds one
- * channel quadruple per shard and routes each miss by
- * mem::pageInterleave(page, shards).
+ * With backside sharding (BcConfig::shards > 1) each miss goes to
+ * shard mem::pageInterleave(page, shards).
  */
 
 #ifndef ASTRIFLASH_CORE_FRONTSIDE_CONTROLLER_HH
@@ -44,7 +34,6 @@
 
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
-#include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
 #include "sim/stats.hh"
 
@@ -52,6 +41,8 @@
 #include "dram_cache_types.hh"
 
 namespace astriflash::core {
+
+class BacksideController;
 
 /** The DRAM cache's fast tag-compare FSM. */
 class FrontsideController
@@ -80,48 +71,21 @@ class FrontsideController
     };
 
     /**
-     * One frontside access crossing the controller split: a
-     * MissRequest accepted into the channel, completed by the MissAck
-     * on the shard's response channel.
+     * @param shards the backside shards misses are routed to; the
+     *        facade fills the vector after constructing the FC.
      */
-    struct Probe {
-        mem::PageNum page{0};
-        sim::Ticks start = 0;    ///< Requester's tick.
-        sim::Ticks accepted = 0; ///< Miss-channel accept tick.
-        std::uint64_t bit = 0;   ///< Requested block's footprint bit.
-        bool subPage = false;    ///< Footprint refetch of a resident page.
-        std::uint32_t shard = 0; ///< BC shard the miss routed to.
-    };
-
     FrontsideController(
         std::string name, const DramCacheConfig &config,
         mem::Dram &dram, mem::SetAssocCache &tags,
         FootprintState &footprint,
-        std::vector<std::unique_ptr<sim::BoundedChannel<MissRequest>>>
-            &to_bc,
-        std::vector<
-            std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-            &from_bc,
-        std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
-            &from_bc_rsp,
-        std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-            &to_bc_ctl);
+        const std::vector<std::unique_ptr<BacksideController>> &shards);
 
     /** Register the page-arrival notification hook. */
     void setPageReadyCallback(PageReadyFn fn) { onReady = std::move(fn); }
 
     /**
-     * Install this controller's channel hooks. Both controllers
-     * declare bindChannels(); the facade calls it after channel
-     * construction, once per controller: synchronous drain hooks on
-     * the response and install channels.
-     */
-    void bindChannels();
-
-    /**
      * Frontside access from the LLC miss path. Hits complete here; a
-     * miss pushes the MissRequest and completes from the
-     * synchronously latched ack.
+     * miss completes from the backside shard's reply.
      */
     DcAccess access(mem::Addr pa, bool write, sim::Ticks now,
                     WaiterCookie waiter);
@@ -132,6 +96,25 @@ class FrontsideController
      */
     sim::Ticks accessSync(mem::Addr pa, bool write, sim::Ticks now);
 
+    /**
+     * Install a page whose flash read arrived at @p at (called by its
+     * backside shard): record the fetched blocks, fill the tag array,
+     * and stream the @p fetch_mask blocks into the frame.
+     * @return the victim the fill displaced and the install's DRAM
+     *         completion tick.
+     */
+    InstallGrant install(mem::PageNum page, std::uint64_t fetch_mask,
+                         bool dirty, sim::Ticks at);
+
+    /** A page is ready at @p when: wake every merged waiter. */
+    void
+    pageReady(mem::PageNum page, sim::Ticks when,
+              const std::vector<WaiterCookie> &waiters) const
+    {
+        if (onReady)
+            onReady(page, when, waiters);
+    }
+
     /** Zero all statistics (end of warmup). */
     void resetStats() { statsData = Stats{}; }
 
@@ -141,8 +124,8 @@ class FrontsideController
     void checkInvariants(sim::InvariantChecker &chk) const;
 
     /**
-     * Cross-domain audit run at quiesce points (both controllers
-     * declare auditShared; the facade invokes them with the fc-owned
+     * Cross-controller audit run at quiesce points (both controllers
+     * declare auditShared; the facade invokes them with the FC-owned
      * structures): footprint residency masks exist exactly for
      * resident pages.
      */
@@ -156,30 +139,21 @@ class FrontsideController
     /** FC tag probe: RAS + tag CAS at the set's row. */
     sim::Ticks tagProbe(mem::Addr pa, sim::Ticks now);
 
-    /** MissRequest with the footprint-history snapshot attached. */
-    MissRequest makeMiss(mem::PageNum page, bool write, bool sub_page,
-                         bool has_waiter, WaiterCookie waiter,
-                         std::uint64_t want_mask) const;
+    /** Outcome of the access path access() and accessSync() share. */
+    struct Lookup {
+        bool hit = false;        ///< Served by the cache or evict buffer.
+        sim::Ticks ready = 0;    ///< Hit: data ready. Miss: page ready.
+        sim::Ticks accepted = 0; ///< Miss: fc_to_bc accept tick.
+    };
 
-    /** Complete a missing probe from the backside's ack. */
-    DcAccess finishMiss(const Probe &probe, const BcReply &rep);
-
-    /** @return the tick the blocked requester's data is readable. */
-    sim::Ticks finishSyncMiss(const Probe &probe, const BcReply &rep);
-
-    /** Drain every notice off shard @p shard's rsp channel. */
-    void pumpRsp(std::uint32_t shard);
-
-    /** Drain every completion off shard @p shard's channel. */
-    void pumpInstalls(std::uint32_t shard);
-
-    /** Run the tag fill + DRAM install for an install request and
-     *  send the grant back on the shard's ctl channel. */
-    void handleInstallReq(std::uint32_t shard, const BcNotice &notice,
-                          sim::Ticks at);
-
-    /** The ack latched by the response-channel drain. */
-    BcReply takeAck();
+    /**
+     * Tag probe, then the data CAS on a hit or a request to the page's
+     * backside shard on a miss, with the hit/miss accounting. A
+     * @p sync access parks no waiter, and its evict-buffer hits take
+     * no latency sample.
+     */
+    Lookup lookup(mem::Addr pa, bool write, sim::Ticks now, bool sync,
+                  WaiterCookie waiter);
 
     sim::Ticks fcOp() const { return fcOpTicks; }
 
@@ -188,7 +162,7 @@ class FrontsideController
     shardOf(mem::PageNum page) const
     {
         return mem::pageInterleave(
-            page, static_cast<std::uint32_t>(toBc.size()));
+            page, static_cast<std::uint32_t>(bcs.size()));
     }
 
     std::string fcName;
@@ -196,17 +170,8 @@ class FrontsideController
     mem::Dram &dramModel;
     mem::SetAssocCache &pageTags;
     FootprintState &fp;
-    std::vector<std::unique_ptr<sim::BoundedChannel<MissRequest>>>
-        &toBc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-        &fromBc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
-        &fromBcRsp;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-        &toBcCtl;
+    const std::vector<std::unique_ptr<BacksideController>> &bcs;
     PageReadyFn onReady;
-    BcReply ackReply;      ///< Last latched MissAck.
-    bool ackValid = false; ///< takeAck() consumes the latch.
     sim::Ticks fcOpTicks;
     Stats statsData;
 };

@@ -9,17 +9,11 @@ namespace astriflash::core {
 System::System(const SystemConfig &config) : cfg(config)
 {
     cfg.applyKindDefaults();
-    eq.setAuditor(&auditor);
     // Perturbed same-tick ordering (tools/detshake); seed 0 is the
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
     eq.setTiePerturbation(cfg.tieBreakSeed);
-    {
-        // Channels built anywhere below self-register with this
-        // system's auditor.
-        sim::CausalityAuditor::Scope audit_scope(auditor);
-        buildMemorySystem();
-    }
+    buildMemorySystem();
 
     for (std::uint32_t c = 0; c < cfg.cores; ++c) {
         workload::WorkloadConfig wc = cfg.workload;
@@ -111,9 +105,6 @@ System::registerInvariants()
     invariants.add("eq", [this](sim::InvariantChecker &chk) {
         eq.checkInvariants(chk);
     });
-    invariants.add("causality", [this](sim::InvariantChecker &chk) {
-        auditor.checkInvariants(chk);
-    });
     for (std::size_t c = 0; c < cores.size(); ++c) {
         SimCore *core = cores[c].get();
         const std::string prefix = "core" + std::to_string(c);
@@ -176,16 +167,6 @@ System::registerInvariants()
                 "dcache.bc_to_fc" + tag,
                 [this, i](sim::InvariantChecker &chk) {
                     dcache->installChannel(i).checkInvariants(chk);
-                });
-            invariants.add(
-                "dcache.bc_to_fc_rsp" + tag,
-                [this, i](sim::InvariantChecker &chk) {
-                    dcache->rspChannel(i).checkInvariants(chk);
-                });
-            invariants.add(
-                "dcache.fc_to_bc_ctl" + tag,
-                [this, i](sim::InvariantChecker &chk) {
-                    dcache->ctlChannel(i).checkInvariants(chk);
                 });
         }
     }

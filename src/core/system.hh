@@ -23,7 +23,6 @@
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/page_table.hh"
-#include "sim/causality.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
 #include "sim/stats.hh"
@@ -121,18 +120,6 @@ class System
     sim::InvariantRegistry &invariantRegistry() { return invariants; }
 
     /**
-     * Causality auditor certifying the channel lookahead manifest
-     * and FIFO/monotonicity contracts (DESIGN.md §14). Armed with
-     * the checks gate; registered as the "causality" invariant
-     * component.
-     */
-    sim::CausalityAuditor &causalityAuditor() { return auditor; }
-    const sim::CausalityAuditor &causalityAuditor() const
-    {
-        return auditor;
-    }
-
-    /**
      * Replace the built-in generators with an external job source
      * (e.g. a workload::TraceReader). Must be set before run(); the
      * source is shared across cores and called in a deterministic
@@ -198,9 +185,6 @@ class System
     void registerInvariants();
 
     SystemConfig cfg;
-    /** Declared before the event queue and every channel owner so it
-     *  outlives all components that hold hooks into it. */
-    sim::CausalityAuditor auditor;
     sim::EventQueue eq;
 
     std::unique_ptr<mem::AddressMap> amap;

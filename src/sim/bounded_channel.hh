@@ -1,26 +1,27 @@
 /**
  * @file
- * Bounded, tick-stamped, FIFO message channel between components.
+ * Occupancy model of a bounded hardware queue between components.
  *
  * The simulator is call-driven rather than port-driven: a producer
- * pushes a message and the consumer services it inside the same
- * synchronous call chain (directly, or through the channel's drain
- * hook). Instantaneous queue depth is therefore always ~0; what a
- * finite hardware queue actually bounds is the number of messages
- * whose *transactions* are still in flight. The channel models this
- * with time-based occupancy: pop() declares the tick at which the
- * message's slot is recycled (e.g. when the miss it carried finishes
- * installing), and push() counts every slot whose release tick is
- * still in the future. When the count reaches capacity the push
- * stalls — the accept tick moves out to the point where enough slots
- * have drained — and the stall is charged to the producer's timing
- * and to the channel's stall statistics. At effectively-unbounded
- * depth the accept tick always equals the push tick, so the channel
- * layer is timing-neutral by construction.
+ * calls its consumer directly, and the consumer services the request
+ * inside the same call chain. Instantaneous queue depth is therefore
+ * always ~0; what a finite hardware queue actually bounds is the
+ * number of entries whose *transactions* are still in flight. The
+ * channel models exactly that with time-based slot accounting:
+ * acquire() takes a slot at a tick and returns the tick the entry is
+ * accepted, and release() declares the tick at which that slot is
+ * recycled (e.g. when the miss it carried finishes installing). An
+ * acquire counts every slot whose release tick is still in the
+ * future; when the count reaches capacity the acquire stalls — the
+ * accept tick moves out to the point where enough slots have drained
+ * — and the stall is charged to the producer's timing and to the
+ * channel's stall statistics. At effectively-unbounded depth the
+ * accept tick always equals the acquire tick, so the channel is
+ * timing-neutral by construction.
  *
- * Producers on different cores run with skewed local clocks, so push
- * ticks are NOT monotonic; the channel stays FIFO in push order and
- * prunes released slots against each push's own timestamp.
+ * Producers on different cores run with skewed local clocks, so
+ * acquire ticks are NOT monotonic; each acquire prunes released slots
+ * against its own tick.
  */
 
 #ifndef ASTRIFLASH_SIM_BOUNDED_CHANNEL_HH
@@ -28,13 +29,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "causality.hh"
 #include "invariant.hh"
 #include "logging.hh"
 #include "stats.hh"
@@ -42,50 +40,29 @@
 
 namespace astriflash::sim {
 
-/** Fixed-capacity FIFO channel carrying messages of type @p Msg. */
-template <typename Msg>
+/** Fixed-capacity queue whose slots live as long as their transactions. */
 class BoundedChannel
 {
   public:
-    /** A queued message with its enqueue timestamps. */
-    struct Stamped {
-        Msg msg;
-        Ticks pushedAt = 0;   ///< Producer's request tick.
-        Ticks acceptedAt = 0; ///< After any full-queue stall.
-        std::uint64_t seq = 0; ///< Push order, 1-based (audit key).
-    };
-
     struct Stats {
-        Counter pushes;
-        Counter pops;
-        Counter fullStalls; ///< Pushes that found the channel full.
+        Counter pushes;     ///< Slots acquired.
+        Counter pops;       ///< Slots given a release tick.
+        Counter fullStalls; ///< Acquires that found the queue full.
         Counter stallTicks; ///< Total backpressure delay charged.
-        Average occupancy;  ///< In-flight slots sampled at each push.
+        Average occupancy;  ///< In-flight slots sampled at each acquire.
         std::uint64_t peakOccupancy = 0;
     };
 
-    /** Invoked after every push; consumers drain synchronously. */
-    using DrainHook = std::function<void()>;
-
     /**
-     * @param name      Instance name (stats, audit reports).
+     * @param name      Instance name (stats, invariant reports).
      * @param capacity  Slot count; >= 1.
-     * @param contract  Declared determinism contract (lookahead +
-     *                  push monotonicity). Channels inside src/ must
-     *                  declare it explicitly (aflint rule AF018); the
-     *                  default is the vacuous contract for tests.
      */
-    BoundedChannel(std::string name, std::uint32_t capacity,
-                   ChannelContract contract = {})
-        : chName(std::move(name)), cap(capacity),
-          channelContract(contract)
+    BoundedChannel(std::string name, std::uint32_t capacity)
+        : chName(std::move(name)), cap(capacity)
     {
         if (capacity == 0)
             ASTRI_FATAL("%s: channel needs capacity >= 1",
                         chName.c_str());
-        if ((auditor = CausalityAuditor::current()) != nullptr)
-            auditId = auditor->registerChannel(chName,
-                                              channelContract);
     }
 
     BoundedChannel(const BoundedChannel &) = delete;
@@ -97,50 +74,48 @@ class BoundedChannel
     /** Configured slot count. */
     std::uint32_t capacity() const { return cap; }
 
-    /** Declared determinism contract. */
-    const ChannelContract &contract() const { return channelContract; }
-
-    /** Messages pushed but not yet popped. */
-    bool empty() const { return waiting.empty(); }
+    /** True when every acquired slot has its release tick. */
+    bool empty() const { return held == 0; }
 
     /** Slots still owned by in-flight transactions at @p now. */
     std::uint32_t
     inFlight(Ticks now) const
     {
-        std::size_t busy = waiting.size();
+        std::uint32_t busy = held;
         for (const Ticks t : busyUntil) {
             if (t > now)
                 ++busy;
         }
-        return static_cast<std::uint32_t>(busy);
+        return busy;
     }
 
-    /** Backpressure signal: would a push at @p now stall? */
+    /** Backpressure signal: would an acquire at @p now stall? */
     bool wouldStall(Ticks now) const { return inFlight(now) >= cap; }
 
     /**
-     * Enqueue @p msg at @p now.
+     * Take a slot at @p now. The caller must declare the slot's
+     * release tick with release() before the queue next fills.
      *
      * @return the accept tick: @p now if a slot is free, else the tick
      *         at which enough in-flight slots drain. The producer must
-     *         treat the accept tick as when the message actually
-     *         entered the channel.
+     *         treat the accept tick as when the entry actually entered
+     *         the queue.
      */
     Ticks
-    push(Msg msg, Ticks now)
+    acquire(Ticks now)
     {
         Ticks accept = now;
         prune(now);
-        const std::size_t occ = busyUntil.size() + waiting.size();
+        const std::size_t occ = busyUntil.size() + held;
         if (occ >= cap) {
-            // Need (occ - cap + 1) slots back. Only popped slots have
-            // known release ticks; un-popped ones would deadlock the
-            // producer, which the synchronous pump discipline (every
-            // push is drained before the next) makes impossible.
+            // Need (occ - cap + 1) slots back. Only released slots
+            // have known release ticks; a queue full of undeclared
+            // ones has no defined accept tick.
             const std::size_t k = occ - cap + 1;
             SIM_CHECK_MSG(k <= busyUntil.size(),
-                          "%s: full with %zu un-drained messages",
-                          chName.c_str(), waiting.size());
+                          "%s: full with %u slots awaiting their "
+                          "release tick",
+                          chName.c_str(), held);
             std::nth_element(busyUntil.begin(),
                              busyUntil.begin() +
                                  static_cast<std::ptrdiff_t>(k - 1),
@@ -152,100 +127,47 @@ class BoundedChannel
             prune(accept);
         }
         statsData.pushes.inc();
-        const std::size_t live = busyUntil.size() + waiting.size() + 1;
+        const std::size_t live = busyUntil.size() + held + 1;
         statsData.occupancy.sample(static_cast<double>(live));
         if (live > statsData.peakOccupancy)
             statsData.peakOccupancy = live;
-        const std::uint64_t seq = ++lastSeq;
-        waiting.push_back(Stamped{std::move(msg), now, accept, seq});
-        if (auditor)
-            auditor->onPush(auditId, seq, now, accept);
-        // The drain hook re-enters this channel to consume the push.
-        if (drainHook)
-            drainHook();
+        ++held;
         return accept;
     }
 
-    /** Oldest un-popped message. Caller checks !empty(). */
-    Stamped &
-    front()
-    {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
-                         chName.c_str());
-        return waiting.front();
-    }
-
-    const Stamped &
-    front() const
-    {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
-                         chName.c_str());
-        return waiting.front();
-    }
-
     /**
-     * Dequeue the front message. @p consumed_at is the tick the
-     * consumer acts on the message (the delivery tick the causality
-     * auditor certifies against the declared lookahead); the slot
-     * stays occupied until @p release_at (the tick the carried
-     * transaction completes and the hardware queue entry is
-     * recycled).
+     * Declare that an acquired slot is recycled at @p release_at (the
+     * tick the transaction it carries completes).
      */
     void
-    dropFront(Ticks consumed_at, Ticks release_at)
+    release(Ticks release_at)
     {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: dropFront() on empty",
-                         chName.c_str());
-        if (auditor) {
-            const Stamped &s = waiting.front();
-            auditor->onDeliver(auditId, s.seq, s.pushedAt,
-                               s.acceptedAt, consumed_at);
-        }
-        waiting.pop_front();
+        ASTRI_ASSERT_MSG(held > 0, "%s: release() without an acquired "
+                         "slot", chName.c_str());
+        --held;
         statsData.pops.inc();
         busyUntil.push_back(release_at);
     }
-
-    /** dropFront() where consumption and slot release coincide. */
-    void dropFront(Ticks release_at)
-    {
-        dropFront(release_at, release_at);
-    }
-
-    /** Convenience: move the front message out and drop it. */
-    Msg
-    pop(Ticks consumed_at, Ticks release_at)
-    {
-        Msg m = std::move(front().msg);
-        dropFront(consumed_at, release_at);
-        return m;
-    }
-
-    /** pop() where consumption and slot release coincide. */
-    Msg pop(Ticks release_at) { return pop(release_at, release_at); }
-
-    /** Install the consumer's synchronous drain hook. */
-    void setDrainHook(DrainHook hook) { drainHook = std::move(hook); }
 
     const Stats &stats() const { return statsData; }
 
     /**
      * Start a fresh measurement window mid-flight: counters restart
-     * with the conservation law re-based on the currently queued
-     * messages (pushes := queued, pops := 0) so the invariant audit
-     * holds across the reset, and the peak restarts at the current
-     * queue depth. In-flight slot release ticks are untouched.
+     * with the conservation law re-based on the unreleased slots
+     * (pushes := unreleased, pops := 0) so the invariant audit holds
+     * across the reset, and the peak restarts at the unreleased count.
+     * Declared release ticks are untouched.
      */
     void
     resetStats()
     {
         statsData.pushes.reset();
-        statsData.pushes.inc(waiting.size());
+        statsData.pushes.inc(held);
         statsData.pops.reset();
         statsData.fullStalls.reset();
         statsData.stallTicks.reset();
         statsData.occupancy.reset();
-        statsData.peakOccupancy = waiting.size();
+        statsData.peakOccupancy = held;
     }
 
     /** Register channel stats into @p reg. */
@@ -253,66 +175,45 @@ class BoundedChannel
     regStats(StatRegistry &reg) const
     {
         reg.registerCounter("pushes", &statsData.pushes,
-                            "messages enqueued into the channel");
+                            "slots acquired");
         reg.registerCounter("pops", &statsData.pops,
-                            "messages dequeued by the consumer");
+                            "slots given their release tick");
         reg.registerCounter("full_stalls", &statsData.fullStalls,
-                            "pushes that found every slot in flight");
+                            "acquires that found every slot in flight");
         reg.registerCounter("stall_ticks", &statsData.stallTicks,
                             "total backpressure delay in ticks");
         reg.registerAverage("occupancy", &statsData.occupancy,
-                            "in-flight slots sampled at each push");
+                            "in-flight slots sampled at each acquire");
         reg.registerUint("peak_occupancy", &statsData.peakOccupancy,
                          "maximum in-flight slots over the run");
     }
 
     /**
-     * Audit the channel: conservation (pushes == pops + un-popped),
-     * stamp sanity (no message accepted before it was pushed), stall
-     * accounting (stall ticks imply full stalls), and the peak bound.
+     * Audit the channel: conservation (acquires == releases +
+     * unreleased), capacity, stall accounting (stall ticks imply full
+     * stalls), and the peak bound.
      */
     void
     checkInvariants(InvariantChecker &chk) const
     {
         SIM_INVARIANT_MSG(chk,
                           statsData.pushes.value() ==
-                              statsData.pops.value() + waiting.size(),
-                          "%s conservation: %llu pushes != %llu pops "
-                          "+ %zu queued",
+                              statsData.pops.value() + held,
+                          "%s conservation: %llu acquires != %llu "
+                          "releases + %u unreleased",
                           chName.c_str(),
                           static_cast<unsigned long long>(
                               statsData.pushes.value()),
                           static_cast<unsigned long long>(
                               statsData.pops.value()),
-                          waiting.size());
-        std::uint64_t prev_seq = 0;
-        for (const Stamped &s : waiting) {
-            SIM_INVARIANT_MSG(chk, s.acceptedAt >= s.pushedAt,
-                              "%s: message accepted at %llu before "
-                              "its push at %llu",
-                              chName.c_str(),
-                              static_cast<unsigned long long>(
-                                  s.acceptedAt),
-                              static_cast<unsigned long long>(
-                                  s.pushedAt));
-            SIM_INVARIANT_MSG(chk,
-                              s.seq > prev_seq && s.seq <= lastSeq,
-                              "%s: queue order breaks push order "
-                              "(seq %llu after %llu)",
-                              chName.c_str(),
-                              static_cast<unsigned long long>(s.seq),
-                              static_cast<unsigned long long>(
-                                  prev_seq));
-            prev_seq = s.seq;
-        }
-        SIM_INVARIANT(chk, waiting.size() <= cap);
+                          held);
+        SIM_INVARIANT(chk, held <= cap);
         SIM_INVARIANT_MSG(chk,
                           statsData.stallTicks.value() == 0 ||
                               statsData.fullStalls.value() > 0,
                           "%s: stall ticks without a full stall",
                           chName.c_str());
-        SIM_INVARIANT(chk,
-                      statsData.peakOccupancy >= waiting.size());
+        SIM_INVARIANT(chk, statsData.peakOccupancy >= held);
         SIM_INVARIANT(chk,
                       statsData.peakOccupancy <=
                           statsData.pushes.value());
@@ -329,13 +230,8 @@ class BoundedChannel
 
     std::string chName;
     std::uint32_t cap;
-    ChannelContract channelContract;
-    CausalityAuditor *auditor = nullptr;
-    std::uint32_t auditId = 0;
-    std::uint64_t lastSeq = 0;
-    std::deque<Stamped> waiting;    ///< Pushed, not yet popped.
-    std::vector<Ticks> busyUntil;   ///< Popped slots' release ticks.
-    DrainHook drainHook;
+    std::uint32_t held = 0;       ///< Acquired, release not declared.
+    std::vector<Ticks> busyUntil; ///< Released slots' release ticks.
     Stats statsData;
 };
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for sim::BoundedChannel: FIFO order with non-monotonic
- * producer clocks, time-based occupancy and backpressure (accept tick
- * pushed out to the k-th slot release), stall-cycle accounting, the
- * drain-hook discipline, and the channel's invariant audit.
+ * Unit tests for sim::BoundedChannel, the occupancy model of a bounded
+ * hardware queue: non-monotone acquire ticks, time-based occupancy and
+ * backpressure (accept tick pushed out to the k-th slot release),
+ * stall accounting, mid-flight stats reset, and the invariant audit.
  *
  * Separate binary (test_channel_suite): the misuse tests are death
  * tests and one arms the global checks gate, so they must not share a
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
@@ -40,66 +39,59 @@ class ScopedChecks
 };
 
 /** Audit @p ch through a throwaway checker; @return failure count. */
-template <typename Msg>
 std::uint64_t
-auditFailures(const sim::BoundedChannel<Msg> &ch)
+auditFailures(const sim::BoundedChannel &ch)
 {
     sim::InvariantChecker chk;
     ch.checkInvariants(chk);
     return chk.failures();
 }
 
-/** Accept stamp of the oldest undelivered message in @p ch, or
- *  kTickNever when idle: no consumer-side work can precede it. */
-template <typename Msg>
-sim::Ticks
-watermark(const sim::BoundedChannel<Msg> &ch)
-{
-    return ch.empty() ? sim::kTickNever : ch.front().acceptedAt;
-}
-
 } // namespace
 
 // --------------------------------------------------------------------
-// FIFO order and timestamping.
+// Skewed producer clocks.
 // --------------------------------------------------------------------
 
 TEST(BoundedChannel, FifoOrderWithSkewedProducerClocks)
 {
-    sim::BoundedChannel<int> ch("ch", 64);
+    // Producers on different cores acquire with skewed local clocks:
+    // acquire ticks are not monotone, and each acquire prunes released
+    // slots against its own tick.
+    sim::BoundedChannel ch("ch", 2);
+    EXPECT_EQ(ch.acquire(100), 100u);
+    ch.release(300);
+    // An earlier clock still sees the tick-300 slot in flight, and
+    // one slot free.
+    EXPECT_EQ(ch.acquire(40), 40u);
+    ch.release(60);
+    // At tick 50 both slots are in flight; the earlier release frees
+    // one at tick 60.
+    EXPECT_EQ(ch.acquire(50), 60u);
+    ch.release(70);
+    // A later clock sees the tick-60/70 slots drained, but not the
+    // tick-300 one.
+    EXPECT_EQ(ch.inFlight(250), 1u);
+    EXPECT_EQ(ch.acquire(250), 250u);
+    ch.release(260);
 
-    // Producers on different cores push with skewed local clocks; the
-    // channel stays FIFO in push order, not tick order.
-    EXPECT_EQ(ch.push(1, 100), 100u);
-    EXPECT_EQ(ch.push(2, 40), 40u);
-    EXPECT_EQ(ch.push(3, 250), 250u);
-
-    ASSERT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front().msg, 1);
-    EXPECT_EQ(ch.front().pushedAt, 100u);
-    EXPECT_EQ(ch.front().acceptedAt, 100u);
-
-    EXPECT_EQ(ch.pop(110), 1);
-    EXPECT_EQ(ch.pop(60), 2);
-    EXPECT_EQ(ch.pop(260), 3);
-    EXPECT_TRUE(ch.empty());
-
-    EXPECT_EQ(ch.stats().pushes.value(), 3u);
-    EXPECT_EQ(ch.stats().pops.value(), 3u);
-    EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
-    EXPECT_EQ(ch.stats().stallTicks.value(), 0u);
+    EXPECT_EQ(ch.stats().pushes.value(), 4u);
+    EXPECT_EQ(ch.stats().pops.value(), 4u);
+    EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
+    EXPECT_EQ(ch.stats().stallTicks.value(), 10u);
+    EXPECT_EQ(auditFailures(ch), 0u);
 }
 
 TEST(BoundedChannel, AcceptEqualsPushAtUnboundedDepth)
 {
-    // The timing-neutrality contract the FC/BC split relies on: at
+    // The timing-neutrality contract the FC/BC queues rely on: at
     // effectively-unbounded depth the accept tick always equals the
-    // push tick, whatever the pop/release history looks like.
-    sim::BoundedChannel<int> ch("ch", 65536);
+    // acquire tick, whatever the release history looks like.
+    sim::BoundedChannel ch("ch", 65536);
     for (int i = 0; i < 100; ++i) {
         const sim::Ticks t = static_cast<sim::Ticks>(i * 37 % 1000);
-        EXPECT_EQ(ch.push(i, t), t);
-        ch.dropFront(t + 5000); // slot held far into the future
+        EXPECT_EQ(ch.acquire(t), t);
+        ch.release(t + 5000); // slot held far into the future
     }
     EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 0u);
@@ -112,72 +104,55 @@ TEST(BoundedChannel, AcceptEqualsPushAtUnboundedDepth)
 
 TEST(BoundedChannel, FullChannelDelaysAcceptToSlotRelease)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch("ch", 2);
 
     // Two transactions occupy both slots until ticks 100 and 200.
-    EXPECT_EQ(ch.push(1, 0), 0u);
-    ch.dropFront(100);
-    EXPECT_EQ(ch.push(2, 0), 0u);
-    ch.dropFront(200);
+    EXPECT_EQ(ch.acquire(0), 0u);
+    ch.release(100);
+    EXPECT_EQ(ch.acquire(0), 0u);
+    ch.release(200);
 
     EXPECT_EQ(ch.inFlight(10), 2u);
     EXPECT_TRUE(ch.wouldStall(10));
     EXPECT_EQ(ch.inFlight(150), 1u);
     EXPECT_FALSE(ch.wouldStall(150));
 
-    // A push at t=10 finds every slot in flight: the accept tick moves
-    // out to the earliest release (100) and the 90-tick stall is
+    // An acquire at t=10 finds every slot in flight: the accept tick
+    // moves out to the earliest release (100) and the 90-tick stall is
     // charged to the channel.
-    EXPECT_EQ(ch.push(3, 10), 100u);
+    EXPECT_EQ(ch.acquire(10), 100u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 90u);
-    EXPECT_EQ(ch.front().pushedAt, 10u);
-    EXPECT_EQ(ch.front().acceptedAt, 100u);
+    EXPECT_FALSE(ch.empty());
 
-    // After the slot-200 transaction also completes, pushes flow
+    // After the slot-200 transaction also completes, acquires flow
     // freely again.
-    EXPECT_EQ(ch.pop(120), 3);
-    EXPECT_EQ(ch.push(4, 250), 250u);
+    ch.release(120);
+    EXPECT_EQ(ch.acquire(250), 250u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().peakOccupancy, 2u);
 }
 
 TEST(BoundedChannel, ConsecutiveStallsWalkSuccessiveReleases)
 {
-    sim::BoundedChannel<int> ch("ch", 3);
+    sim::BoundedChannel ch("ch", 3);
 
-    // Three popped slots busy until ticks 100/200/300.
-    ch.push(1, 0);
-    ch.dropFront(100);
-    ch.push(2, 0);
-    ch.dropFront(200);
-    ch.push(3, 0);
-    ch.dropFront(300);
+    // Three released slots busy until ticks 100/200/300.
+    ch.acquire(0);
+    ch.release(100);
+    ch.acquire(0);
+    ch.release(200);
+    ch.acquire(0);
+    ch.release(300);
 
-    // Full at t=0: the first extra push waits for the earliest release
-    // (tick 100); that message stays un-popped, so the next push can
-    // only reclaim the tick-200 slot. Each stall is charged in full
-    // against the producer's own push tick.
-    EXPECT_EQ(ch.push(4, 0), 100u);
-    EXPECT_EQ(ch.push(5, 0), 200u);
+    // Full at t=0: the first extra acquire waits for the earliest
+    // release (tick 100); that slot stays unreleased, so the next
+    // acquire can only reclaim the tick-200 slot. Each stall is
+    // charged in full against the producer's own acquire tick.
+    EXPECT_EQ(ch.acquire(0), 100u);
+    EXPECT_EQ(ch.acquire(0), 200u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 2u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 300u);
-}
-
-TEST(BoundedChannel, DrainHookFiresOnEveryPush)
-{
-    sim::BoundedChannel<int> ch("ch", 8);
-    std::vector<int> drained;
-    ch.setDrainHook([&] {
-        while (!ch.empty())
-            drained.push_back(ch.pop(ch.front().acceptedAt + 10));
-    });
-
-    ch.push(7, 0);
-    ch.push(8, 5);
-    EXPECT_EQ(drained, (std::vector<int>{7, 8}));
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.stats().pops.value(), 2u);
 }
 
 // --------------------------------------------------------------------
@@ -186,28 +161,28 @@ TEST(BoundedChannel, DrainHookFiresOnEveryPush)
 
 TEST(BoundedChannel, InvariantAuditPassesThroughLifecycle)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch("ch", 2);
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    ch.push(1, 0);
-    EXPECT_EQ(auditFailures(ch), 0u); // one message queued
+    ch.acquire(0);
+    EXPECT_EQ(auditFailures(ch), 0u); // one slot unreleased
 
-    ch.dropFront(100);
-    ch.push(2, 0);
-    ch.dropFront(200);
-    ch.push(3, 10); // stalls to tick 100
+    ch.release(100);
+    ch.acquire(0);
+    ch.release(200);
+    ch.acquire(10); // stalls to tick 100
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    ch.pop(150);
+    ch.release(150);
     EXPECT_EQ(auditFailures(ch), 0u);
 }
 
 TEST(BoundedChannel, InvariantAuditIsRegistryCompatible)
 {
-    // The System registers each channel as its own invariant
-    // component; verify the hook composes with the registry driver.
-    sim::BoundedChannel<int> ch("dcache.fc_to_bc", 4);
-    ch.push(11, 3);
+    // The System registers each queue as its own invariant component;
+    // verify the hook composes with the registry driver.
+    sim::BoundedChannel ch("dcache.fc_to_bc", 4);
+    ch.acquire(3);
 
     sim::InvariantRegistry reg;
     reg.setFailFast(false);
@@ -223,25 +198,18 @@ TEST(BoundedChannel, InvariantAuditIsRegistryCompatible)
 
 TEST(BoundedChannelDeath, ZeroCapacityIsFatal)
 {
-    EXPECT_EXIT(sim::BoundedChannel<int>("bad", 0),
+    EXPECT_EXIT(sim::BoundedChannel("bad", 0),
                 ::testing::ExitedWithCode(1), "capacity >= 1");
-}
-
-TEST(BoundedChannelDeath, FrontOnEmptyPanics)
-{
-    sim::BoundedChannel<int> ch("ch", 2);
-    EXPECT_DEATH(ch.front(), "front\\(\\) on empty");
 }
 
 TEST(BoundedChannelDeath, FullWithUndrainedMessagesPanics)
 {
-    // The synchronous pump discipline guarantees pushed messages are
-    // drained before the next push; violating it on a full channel has
-    // no defined accept tick and must panic (when checks are armed).
+    // A queue full of slots whose release tick is undeclared has no
+    // defined accept tick and must panic (when checks are armed).
     ScopedChecks armed(true);
-    sim::BoundedChannel<int> ch("ch", 1);
-    ch.push(1, 0); // occupies the only slot, never popped
-    EXPECT_DEATH(ch.push(2, 0), "un-drained");
+    sim::BoundedChannel ch("ch", 1);
+    ch.acquire(0); // occupies the only slot, never released
+    EXPECT_DEATH(ch.acquire(0), "awaiting their release tick");
 }
 
 // --------------------------------------------------------------------
@@ -251,20 +219,20 @@ TEST(BoundedChannelDeath, FullWithUndrainedMessagesPanics)
 
 TEST(BoundedChannel, DepthOneSerializesEveryTransaction)
 {
-    sim::BoundedChannel<int> ch("ch", 1);
+    sim::BoundedChannel ch("ch", 1);
 
-    // The single slot round-trips each message: with the slot held to
-    // tick 50, the next push stalls to exactly that release.
-    EXPECT_EQ(ch.push(1, 0), 0u);
-    ch.dropFront(50);
-    EXPECT_EQ(ch.push(2, 10), 50u);
+    // The single slot round-trips each transaction: with the slot held
+    // to tick 50, the next acquire stalls to exactly that release.
+    EXPECT_EQ(ch.acquire(0), 0u);
+    ch.release(50);
+    EXPECT_EQ(ch.acquire(10), 50u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 40u);
-    ch.dropFront(120);
+    ch.release(120);
 
-    // A push after the release flows without a stall.
-    EXPECT_EQ(ch.push(3, 130), 130u);
-    ch.dropFront(130);
+    // An acquire after the release flows without a stall.
+    EXPECT_EQ(ch.acquire(130), 130u);
+    ch.release(130);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().peakOccupancy, 1u);
     EXPECT_EQ(auditFailures(ch), 0u);
@@ -272,16 +240,14 @@ TEST(BoundedChannel, DepthOneSerializesEveryTransaction)
 
 TEST(BoundedChannel, SameTickSendAndReceive)
 {
-    sim::BoundedChannel<int> ch("ch", 4);
+    sim::BoundedChannel ch("ch", 4);
 
-    // Push and consume at the identical tick: legal (a zero-lookahead
-    // channel), stamps all equal, nothing charged as a stall.
-    EXPECT_EQ(ch.push(1, 42), 42u);
-    EXPECT_EQ(ch.front().pushedAt, 42u);
-    EXPECT_EQ(ch.front().acceptedAt, 42u);
-    EXPECT_EQ(ch.pop(42), 1);
+    // Acquire and release at the identical tick: legal, nothing
+    // charged as a stall.
+    EXPECT_EQ(ch.acquire(42), 42u);
+    ch.release(42);
     EXPECT_TRUE(ch.empty());
-    // A slot released at tick 42 is already free to a tick-42 push.
+    // A slot released at tick 42 is already free to a tick-42 acquire.
     EXPECT_EQ(ch.inFlight(42), 0u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 0u);
@@ -290,27 +256,27 @@ TEST(BoundedChannel, SameTickSendAndReceive)
 
 TEST(BoundedChannel, BackpressureExactlyAtFullOccupancy)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch("ch", 2);
 
     // One of two slots in flight: one below capacity, no backpressure.
-    ch.push(1, 0);
-    ch.dropFront(100);
+    ch.acquire(0);
+    ch.release(100);
     EXPECT_EQ(ch.inFlight(10), 1u);
     EXPECT_FALSE(ch.wouldStall(10));
 
-    // Exactly at capacity: the boundary push must stall, and must be
-    // accepted exactly at the earliest release tick, not one later.
-    ch.push(2, 0);
-    ch.dropFront(200);
+    // Exactly at capacity: the boundary acquire must stall, and must
+    // be accepted exactly at the earliest release tick, not one later.
+    ch.acquire(0);
+    ch.release(200);
     EXPECT_EQ(ch.inFlight(10), 2u);
     EXPECT_TRUE(ch.wouldStall(10));
-    EXPECT_EQ(ch.push(3, 10), 100u);
+    EXPECT_EQ(ch.acquire(10), 100u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 90u);
 
     // At the release tick itself the freed slot is usable: occupancy
     // is back below capacity from the consumer's viewpoint.
-    ch.dropFront(300);
+    ch.release(300);
     EXPECT_EQ(ch.inFlight(200), 1u);
     EXPECT_FALSE(ch.wouldStall(200));
     EXPECT_EQ(auditFailures(ch), 0u);
@@ -318,16 +284,16 @@ TEST(BoundedChannel, BackpressureExactlyAtFullOccupancy)
 
 TEST(BoundedChannel, ResetStatsMidFlightRebasesConservation)
 {
-    sim::BoundedChannel<int> ch("ch", 4);
-    ch.push(1, 0);
-    ch.push(2, 5);
-    ch.push(3, 9);
-    ch.dropFront(500); // one slot in flight far into the future
+    sim::BoundedChannel ch("ch", 4);
+    ch.acquire(0);
+    ch.acquire(5);
+    ch.acquire(9);
+    ch.release(500); // one slot in flight far into the future
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    // Reset mid-flight: conservation re-bases on the two queued
-    // messages, the peak restarts at the current depth, and the
-    // in-flight slot keeps its release tick.
+    // Reset mid-flight: conservation re-bases on the two unreleased
+    // slots, the peak restarts at that count, and the in-flight slot
+    // keeps its release tick.
     ch.resetStats();
     EXPECT_EQ(ch.stats().pushes.value(), 2u);
     EXPECT_EQ(ch.stats().pops.value(), 0u);
@@ -336,84 +302,16 @@ TEST(BoundedChannel, ResetStatsMidFlightRebasesConservation)
     EXPECT_EQ(ch.stats().peakOccupancy, 2u);
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    // The queue keeps draining consistently after the reset.
-    EXPECT_EQ(ch.pop(20), 2);
-    EXPECT_EQ(ch.pop(30), 3);
+    // Releases keep the accounting consistent after the reset.
+    ch.release(20);
+    ch.release(30);
     EXPECT_EQ(ch.stats().pops.value(), 2u);
     EXPECT_EQ(auditFailures(ch), 0u);
 
     // The pre-reset in-flight slot (release tick 500) still occupies
     // capacity after the reset; the tick-20/30 slots have drained.
-    ch.push(4, 40);
-    ch.push(5, 40);
-    EXPECT_EQ(ch.inFlight(40), 3u); // 2 queued + the tick-500 slot
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-// --------------------------------------------------------------------
-// Watermark: the accept stamp at the front of the queue, the earliest
-// tick the consumer can act on anything still in the channel.
-// --------------------------------------------------------------------
-
-TEST(BoundedChannel, WatermarkTracksTheFrontAcceptStamp)
-{
-    sim::BoundedChannel<int> ch("ch", 4);
-    EXPECT_EQ(watermark(ch), sim::kTickNever); // idle
-
-    ch.push(1, 10);
-    EXPECT_EQ(watermark(ch), 10u);
-
-    // A later push does not move the watermark: it mirrors the OLDEST
-    // undelivered message, which bounds the earliest consumer work.
-    ch.push(2, 25);
-    EXPECT_EQ(watermark(ch), 10u);
-
-    ch.dropFront(30);
-    EXPECT_EQ(watermark(ch), 25u);
-    ch.dropFront(40);
-    EXPECT_EQ(watermark(ch), sim::kTickNever); // idle again
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkCarriesTheStalledAcceptTick)
-{
-    sim::BoundedChannel<int> ch("ch", 1);
-    ch.push(1, 0);
-    ch.dropFront(50); // slot busy to tick 50
-
-    // The stalled push is accepted at 50, and it is the accept stamp —
-    // not the push tick — the front carries: no consumer-side work can
-    // precede the tick the message actually entered.
-    EXPECT_EQ(ch.push(2, 10), 50u);
-    EXPECT_EQ(watermark(ch), 50u);
-    EXPECT_EQ(ch.front().pushedAt, 10u);
-    ch.dropFront(60);
-    EXPECT_EQ(watermark(ch), sim::kTickNever);
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkSurvivesResetStatsMidFlight)
-{
-    sim::BoundedChannel<int> ch("ch", 4);
-    ch.push(1, 10);
-    ch.push(2, 20);
-    ch.dropFront(25);
-    EXPECT_EQ(watermark(ch), 20u);
-
-    // The warmup-boundary reset rebases the counters, but the
-    // watermark mirrors queue contents, not statistics: it must keep
-    // the true oldest undelivered stamp across the reset.
-    ch.resetStats();
-    EXPECT_EQ(ch.stats().pushes.value(), 1u);
-    EXPECT_EQ(watermark(ch), 20u);
-    EXPECT_EQ(auditFailures(ch), 0u);
-
-    // Messages pushed after the reset keep following the front.
-    ch.push(3, 35);
-    EXPECT_EQ(watermark(ch), 20u);
-    ch.dropFront(40);
-    EXPECT_EQ(watermark(ch), 35u);
-    ch.dropFront(50);
-    EXPECT_EQ(watermark(ch), sim::kTickNever);
+    ch.acquire(40);
+    ch.acquire(40);
+    EXPECT_EQ(ch.inFlight(40), 3u); // 2 unreleased + the tick-500 slot
     EXPECT_EQ(auditFailures(ch), 0u);
 }

@@ -392,9 +392,8 @@ TEST(DramCache, HitRatioComputed)
 }
 
 // --------------------------------------------------------------------
-// FC miss pipeline: probe -> miss channel -> backside -> ack on the
-// response channel. The FC latches exactly one ack per miss push
-// (takeAck() hard-asserts it), so a lost or reordered ack aborts.
+// FC miss pipeline: probe -> the shard's fc_to_bc queue -> backside
+// reply -> install -> page-ready wakeup, all direct calls.
 // --------------------------------------------------------------------
 
 TEST(FcPipeline, SameTickProbesKeepFifoAckOrder)
@@ -403,8 +402,8 @@ TEST(FcPipeline, SameTickProbesKeepFifoAckOrder)
     constexpr unsigned kProbes = 4;
     for (unsigned i = 0; i < kProbes; ++i) {
         const auto r = rig.dc->access(rig.pa(3 + i), false, 0, i + 1);
-        // Each probe got its own ack inside its push and answered
-        // with the early miss response.
+        // Each probe got its own reply and answered with the early
+        // miss response.
         EXPECT_FALSE(r.hit);
         EXPECT_LT(r.ready, microseconds(1));
         EXPECT_EQ(rig.dc->outstandingMisses(), i + 1);
@@ -413,8 +412,8 @@ TEST(FcPipeline, SameTickProbesKeepFifoAckOrder)
 
     rig.eq.run();
 
-    // Every ack retired its own miss; fills woke waiters in page order
-    // because equal-latency reads complete in issue order.
+    // Every reply retired its own miss; fills woke waiters in page
+    // order because equal-latency reads complete in issue order.
     EXPECT_EQ(rig.dc->fcStats().misses.value(), kProbes);
     EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
     ASSERT_EQ(rig.ready.size(), kProbes);
@@ -422,8 +421,6 @@ TEST(FcPipeline, SameTickProbesKeepFifoAckOrder)
         ASSERT_EQ(rig.ready[i].second.size(), 1u);
         EXPECT_EQ(rig.ready[i].second[0], i + 1);
     }
-    EXPECT_TRUE(rig.dc->rspChannel().empty());
-    EXPECT_TRUE(rig.dc->ctlChannel().empty());
 }
 
 TEST(FcPipeline, ProbeIssuedAtAckTickStaysOrdered)
@@ -431,10 +428,13 @@ TEST(FcPipeline, ProbeIssuedAtAckTickStaysOrdered)
     Rig rig;
     rig.dc->access(rig.pa(3), false, 0, 1);
 
-    // Issue a second probe at every rsp-channel activity tick the
-    // first miss produces: these are exactly where a same-tick
-    // probe-issue could slip ahead of a probe-response.
-    const Ticks lat = rig.dc->rspChannel().contract().minLatency;
+    // Issue a second probe at each of the first BC-op boundaries the
+    // first miss produces (its dequeue, MSR search and flash issue):
+    // these are exactly where a same-tick probe could slip ahead of
+    // the first miss's reply.
+    const DramCacheConfig &cfg = rig.dc->config();
+    const Ticks lat =
+        ClockDomain(cfg.controllerFreqHz).cycles(cfg.bc.cyclesPerOp);
     std::vector<Ticks> issue_at;
     for (Ticks t = lat; t <= 4 * lat; t += lat)
         issue_at.push_back(t);
@@ -449,8 +449,8 @@ TEST(FcPipeline, ProbeIssuedAtAckTickStaysOrdered)
 
     rig.eq.run();
 
-    // All probes resolved (takeAck asserts one ack per push) and
-    // every miss was eventually installed and reported ready.
+    // All probes resolved and every miss was eventually installed and
+    // reported ready.
     EXPECT_EQ(issued, issue_at.size());
     EXPECT_EQ(rig.dc->fcStats().misses.value() +
                   rig.dc->fcStats().missesMerged.value(),
@@ -490,16 +490,14 @@ TEST(FcPipeline, PendingDepthOneChargesBackpressureStats)
 
 TEST(FcPipeline, DepthOneChannelsSerializeWithoutLoss)
 {
-    // The narrowest legal window on every FC<->BC channel.
+    // The narrowest legal window on both FC<->BC queues.
     ChannelConfig ch;
     ch.fcToBcDepth = 1;
     ch.bcToFcDepth = 1;
-    ch.bcToFcRspDepth = 1;
-    ch.fcToBcCtlDepth = 1;
     Rig rig(16, 4, ch);
 
-    // Spaced misses: each round trip (miss -> ack -> install request
-    // -> grant -> completion) recycles every slot before the next.
+    // Spaced misses: each round trip (request -> install -> page-ready
+    // completion) recycles every slot before the next.
     constexpr unsigned kSpaced = 8;
     unsigned issued = 0;
     for (unsigned i = 0; i < kSpaced; ++i) {
@@ -533,8 +531,8 @@ TEST(FcPipeline, DepthOneChannelsSerializeWithoutLoss)
     EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
     EXPECT_EQ(rig.ready.size(), kSpaced + 3);
     EXPECT_TRUE(rig.dc->missChannel().empty());
-    EXPECT_TRUE(rig.dc->rspChannel().empty());
-    EXPECT_TRUE(rig.dc->ctlChannel().empty());
     EXPECT_TRUE(rig.dc->installChannel().empty());
     EXPECT_TRUE(rig.dc->flashChannel().empty());
+    EXPECT_EQ(rig.dc->installChannel().stats().pushes.value(),
+              kSpaced + 3);
 }

@@ -2,11 +2,11 @@
  * @file
  * FC/BC split regression: the frontside/backside decomposition of the
  * DRAM cache must be timing-neutral at the default (effectively
- * unbounded) channel depths. Each of the six fixed-seed torture
+ * unbounded) queue depths. Each of the eight fixed-seed torture
  * configurations is re-run in process and its full golden JSON —
  * headline results plus every stats leaf — must stay byte-identical
  * to tests/golden/. On top of the byte comparison, the three
- * controller channels must report zero backpressure: any full stall
+ * controller queues must report zero backpressure: any full stall
  * at depth 65536 means slot lifetimes leak.
  *
  * The case table and serialisation are shared with the golden_stats
@@ -89,7 +89,8 @@ TEST_P(FcBcSplit, GoldenStatsStayByteIdentical)
     EXPECT_EQ(dc->installChannel().stats().fullStalls.value(), 0u);
     EXPECT_EQ(dc->installChannel().stats().stallTicks.value(), 0u);
 
-    // Conservation across the split: every message pushed was drained.
+    // Conservation across the split: every acquired slot was given its
+    // release tick.
     EXPECT_TRUE(dc->missChannel().empty());
     EXPECT_TRUE(dc->flashChannel().empty());
     EXPECT_TRUE(dc->installChannel().empty());

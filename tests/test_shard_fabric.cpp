@@ -174,6 +174,17 @@ TEST(ShardedDramCache, CapacitySlicesSumToConfiguredTotals)
     }
 }
 
+TEST(ShardedDramCacheDeath, EmptyShardSliceIsFatalAtConstruction)
+{
+    // 32 evict-buffer entries over 33 shards leave the last shard
+    // none: a configuration error in every build, reported before the
+    // first event instead of as a mid-run panic.
+    EXPECT_EXIT(ShardRig(33), ::testing::ExitedWithCode(1),
+                "33 BC shards leave shard 32 with 3 MSR sets and 0 "
+                "evict-buffer entries \\(cache-wide 128 MSR sets, 32 "
+                "evict-buffer entries\\)");
+}
+
 // --------------------------------------------------------------------
 // FlashFabric: striping + aggregation.
 // --------------------------------------------------------------------

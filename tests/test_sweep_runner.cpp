@@ -284,8 +284,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelSystem, DepthOneChannelsStayByteIdentical)
 {
-    // Depth-1 controller channels drive maximum backpressure through
-    // the FC<->BC seam; running beside another copy must not change a
+    // Depth-1 controller queues drive maximum backpressure through
+    // the FC<->BC calls; running beside another copy must not change a
     // byte.
     SystemConfig cfg = smallCfg();
     cfg.dramCache.channels.fcToBcDepth = 1;

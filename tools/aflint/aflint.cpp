@@ -29,14 +29,6 @@
  *          conversion headers (see kRawEscapeAllowlist)
  *   AF012  log2i()/alignDown()/alignUp() called with a literal that
  *          is not a power of two (rejected at runtime by SIM_CHECK_CE)
- *   AF013  direct cross-component reference inside the split DRAM
- *          cache: the frontside and backside controllers may only
- *          communicate through sim::BoundedChannel messages, so
- *          naming the opposite controller (or a structure it owns,
- *          or the flash device / system layers) from
- *          frontside_controller.* / backside_controller.* bypasses
- *          the channel contract. The DramCache facade is the one
- *          allowlisted composition point.
  *   AF014  concrete flash device type (FlashDevice / ZnsDevice / Ftl)
  *          named from src/core: core code talks to storage only
  *          through the abstract flash::Backend interface; the model
@@ -64,34 +56,6 @@
  *          break SweepRunner's isolated-replica byte-identity. The
  *          reviewed owners (checks arming flag, tracer, uthread
  *          current pointer) are allowlisted in kStateOwners.
- *   AF018  sim::BoundedChannel constructed without a declared
- *          ChannelContract: every channel must state its minimum
- *          push-to-consume latency (the lookahead manifest) so the
- *          causality auditor can certify it.
- *
- * v4 adds cross-TU FC/BC seam rules (DESIGN.md §11). A second global
- * pass builds a member/call access map from the class bodies in src/
- * headers, assigns each known component class to its side of the
- * controller split ("fc" = frontside + cores + facade, "bc" =
- * backside shard + MSR + evict buffer + flash fabric), and flags state
- * and call paths that reach across the seam outside the two
- * controllers' own files, where AF013 does not look:
- *
- *   AF020  a component class holding a raw pointer/reference to a
- *          component owned by the other side. The channel seam
- *          (sim::BoundedChannel members) and the DramCache facade
- *          (dram_cache.*, the allowlisted composition point) are
- *          exempt.
- *   AF021  a direct call of a method attributable to exactly one
- *          controller (FrontsideController / BacksideController)
- *          from outside that controller's own files and outside
- *          dram_cache.*'s allowlisted composition: such calls cross
- *          the FC<->BC seam synchronously, bypassing the channels.
- *   AF022  mutable shared state reachable from both sides without an
- *          owning declaration: a non-component type held by value or
- *          reference from classes on both sides, where a mutable
- *          reference holder's side differs from the value owner's (page tags, DRAM model, footprint masks are
- *          fc-owned; the backside sees them only through messages).
  *
  * Comments and string literals are stripped (newlines preserved)
  * before matching, so prose never trips a rule. Intentional
@@ -125,7 +89,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -807,61 +770,6 @@ checkPowerOfTwoLiterals(const std::vector<Token> &toks,
 }
 
 /**
- * AF013: the FC/BC decomposition of the DRAM cache communicates ONLY
- * through bounded channels; a controller source file that names the
- * opposite controller, a structure the opposite side owns, or the
- * layers above/below (flash device, DramCache facade, System/SimCore)
- * has re-grown a direct call path around the channel layer. Matching
- * is by exact identifier token, so e.g. BcReply::Kind::EvictBufferHit
- * in the frontside does not trip the EvictBuffer ban. The DramCache
- * facade (dram_cache.*) is the allowlisted place where both
- * controllers and the device are visible at once.
- */
-void
-checkChannelBypass(const std::vector<Token> &toks,
-                   const std::string &rel, const Suppressions &sup,
-                   std::vector<Finding> &out)
-{
-    // Match the path segment rather than anchoring at the root so the
-    // rule fires whether the controllers are linted as src/core/... or
-    // through a fixture tree rooted higher up.
-    const auto inCore = [&rel](const char *stem) {
-        const auto pos = rel.find(stem);
-        return pos != std::string::npos &&
-               (pos == 0 || rel[pos - 1] == '/');
-    };
-    const bool fc = inCore("src/core/frontside_controller.");
-    const bool bc = inCore("src/core/backside_controller.");
-    if (!fc && !bc)
-        return;
-    // The MSR and evict buffer belong to the backside; the frontside
-    // must not reach into them (or past them to the device).
-    static const std::set<std::string> kFcForbidden = {
-        "BacksideController", "MissStatusRow", "EvictBuffer",
-        "FlashDevice",        "DramCache",     "System",
-        "SimCore"};
-    static const std::set<std::string> kBcForbidden = {
-        "FrontsideController", "FlashDevice", "DramCache", "System",
-        "SimCore"};
-    const std::set<std::string> &forbidden =
-        fc ? kFcForbidden : kBcForbidden;
-    const char *side = fc ? "frontside" : "backside";
-    for (const Token &t : toks) {
-        if (t.kind != Token::Kind::Ident ||
-            forbidden.count(t.text) == 0)
-            continue;
-        if (sup.allows(t.line, "AF013"))
-            continue;
-        out.push_back(
-            {rel, t.line, "AF013",
-             "direct reference to '" + t.text + "' from the " + side +
-                 " controller bypasses the channel layer; FC and BC "
-                 "talk only through sim::BoundedChannel messages "
-                 "(composition lives in the DramCache facade)"});
-    }
-}
-
-/**
  * AF014: src/core sees flash storage only through the abstract
  * flash::Backend interface. Naming a concrete device model
  * (FlashDevice, ZnsDevice, or the Ftl it wraps) from core re-couples
@@ -877,8 +785,8 @@ checkConcreteFlashTypes(const std::vector<Token> &toks,
                         const Suppressions &sup,
                         std::vector<Finding> &out)
 {
-    // Path-segment match, like AF013, so fixture trees rooted above
-    // src/core engage the rule too.
+    // Path-segment match, so fixture trees rooted above src/core
+    // engage the rule too.
     const auto pos = rel.find("src/core/");
     if (pos == std::string::npos ||
         (pos != 0 && rel[pos - 1] != '/'))
@@ -1263,476 +1171,6 @@ checkMutableStaticState(const std::vector<Token> &all_toks,
     }
 }
 
-/**
- * AF018: every sim::BoundedChannel construction must declare its
- * ChannelContract (the lookahead manifest): a two-argument
- * construction takes the default contract of zero minimum latency,
- * which certifies nothing. Matches direct `BoundedChannel<T>(...)` constructions and
- * `make_unique<...BoundedChannel<T>>(...)`.
- */
-void
-checkChannelContractDeclared(const std::vector<Token> &toks,
-                             const std::string &file,
-                             const Suppressions &sup,
-                             std::vector<Finding> &out)
-{
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "BoundedChannel") ||
-            !tokIs(toks, i + 1, "<"))
-            continue;
-        std::size_t k = skipAngles(toks, i + 1);
-        // Close any enclosing template (make_unique<...>) before the
-        // call parens; a declaration or parameter never follows its
-        // '>' with '('.
-        while (tokIs(toks, k, ">"))
-            ++k;
-        if (!tokIs(toks, k, "("))
-            continue;
-        int depth = 0, commas = 0;
-        bool any = false, closed = false;
-        for (std::size_t p = k; p < toks.size(); ++p) {
-            const std::string &x = toks[p].text;
-            if (x == "(") {
-                ++depth;
-            } else if (x == ")") {
-                if (--depth == 0) {
-                    closed = true;
-                    break;
-                }
-            } else if (x == "," && depth == 1) {
-                ++commas;
-            } else {
-                any = true;
-            }
-        }
-        const int nargs = any ? commas + 1 : 0;
-        const int line = toks[i].line;
-        if (closed && nargs >= 1 && nargs < 3 &&
-            !sup.allows(line, "AF018")) {
-            out.push_back(
-                {file, line, "AF018",
-                 "BoundedChannel constructed without a declared "
-                 "ChannelContract; state the channel's minimum "
-                 "push-to-consume latency (lookahead manifest, "
-                 "DESIGN.md §14)"});
-        }
-    }
-}
-
-/*
- * ---------------------------------------------------------------------
- * FC/BC seam analysis (AF020..AF022, DESIGN.md §11).
- *
- * Resolved across the whole scan, like AF015: class bodies in src/
- * headers contribute members and method declarations, every src/ file
- * contributes call sites, and the rules are judged after the file loop
- * (resolveOwnership). The component→side table mirrors the controller
- * split: the frontside owns the cores, the FC and the facade's
- * value-owned shared structures; each backside shard owns one BC with
- * its MSR, evict buffer and flash-fabric slice (flash submit() runs in
- * the owning BC's call chain, never the frontside's).
- * ---------------------------------------------------------------------
- */
-
-/** Side of a known component class (nullptr otherwise). */
-const char *
-componentDomain(const std::string &cls)
-{
-    static const std::map<std::string, const char *> kTable = {
-        {"FrontsideController", "fc"}, {"SimCore", "fc"},
-        {"DramCache", "fc"},           {"FlashFabric", "bc"},
-        {"BacksideController", "bc"},  {"MissStatusRow", "bc"},
-        {"EvictBuffer", "bc"}};
-    const auto it = kTable.find(cls);
-    return it == kTable.end() ? nullptr : it->second;
-}
-
-/** True when @p rel's basename starts with @p stem. */
-bool
-baseStartsWith(const std::string &rel, const char *stem)
-{
-    const std::size_t slash = rel.find_last_of('/');
-    const std::string base =
-        slash == std::string::npos ? rel : rel.substr(slash + 1);
-    return base.rfind(stem, 0) == 0;
-}
-
-/** Side of a src/ file (nullptr when not attributable). */
-const char *
-fileDomain(const std::string &rel)
-{
-    if (baseStartsWith(rel, "frontside_controller.") ||
-        baseStartsWith(rel, "sim_core.") ||
-        baseStartsWith(rel, "system.") ||
-        baseStartsWith(rel, "dram_cache."))
-        return "fc";
-    if (baseStartsWith(rel, "backside_controller.") ||
-        baseStartsWith(rel, "miss_status_row.") ||
-        baseStartsWith(rel, "evict_buffer.") ||
-        rel.find("src/flash/") != std::string::npos)
-        return "bc";
-    return nullptr;
-}
-
-struct OwnershipState {
-    /** A data member of a component class (from a src/ header). */
-    struct Member {
-        std::string cls, file, name, type;
-        int line = 0;
-        bool isRef = false;   ///< Top-level & or * declarator.
-        bool isConst = false; ///< Any top-level const qualifier.
-        bool isChannel = false; ///< Mentions sim::BoundedChannel.
-        bool sup20 = false, sup22 = false;
-    };
-    std::vector<Member> members;
-
-    /** Method name → every class declaring it; a method is
-     *  attributable only when exactly one class declares it. */
-    std::map<std::string, std::set<std::string>> methodOwners;
-
-    /** A `.` / `->` call site anywhere under src/. */
-    struct Call {
-        std::string file, method;
-        int line = 0;
-        bool suppressed = false;
-    };
-    std::vector<Call> calls;
-};
-
-OwnershipState g_own;
-
-/** Skip from a '{' at @p open to just past its matching '}'. */
-std::size_t
-skipBraces(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].text == "{") {
-            ++depth;
-        } else if (toks[k].text == "}") {
-            if (--depth == 0)
-                return k + 1;
-        }
-    }
-    return toks.size();
-}
-
-/** Record the method declared by the statement ending at '(' @p paren. */
-void
-recordOwnershipMethod(const std::vector<Token> &toks, std::size_t stmt,
-                      std::size_t paren, const std::string &cls)
-{
-    static const std::set<std::string> kNotMethods = {
-        "if",     "for",    "while",  "switch", "return", "sizeof",
-        "new",    "delete", "throw",  "catch",  "void",   "bool",
-        "int",    "auto",   "static_assert",    "decltype",
-        "alignof", "noexcept"};
-    if (paren <= stmt || toks[paren - 1].kind != Token::Kind::Ident)
-        return;
-    const std::string &name = toks[paren - 1].text;
-    if (name == cls || kNotMethods.count(name) != 0)
-        return; // constructor / control keyword / builtin type
-    if (paren >= 2 && toks[paren - 2].text == "~")
-        return; // destructor
-    g_own.methodOwners[name].insert(cls);
-}
-
-/** Record the member declared by the statement [stmt, end). */
-void
-recordOwnershipMember(const std::vector<Token> &toks, std::size_t stmt,
-                      std::size_t end, const std::string &cls,
-                      const std::string &rel, const Suppressions &sup)
-{
-    if (end <= stmt || componentDomain(cls) == nullptr)
-        return;
-    static const std::set<std::string> kNotMembers = {
-        "using",   "typedef", "friend",    "template", "static",
-        "enum",    "class",   "struct",    "union",    "public",
-        "private", "protected", "operator", "virtual",  "return",
-        "case",    "default", "goto",      "break",    "continue"};
-    OwnershipState::Member m;
-    m.cls = cls;
-    m.file = rel;
-    std::size_t name_end = end;
-    int angle = 0;
-    for (std::size_t k = stmt; k < end; ++k) {
-        const Token &t = toks[k];
-        if (t.kind == Token::Kind::Ident &&
-            kNotMembers.count(t.text) != 0)
-            return;
-        if (t.text == "<") {
-            ++angle;
-        } else if (t.text == ">") {
-            --angle;
-        } else if (t.text == "=" && angle == 0) {
-            name_end = k;
-            break;
-        } else if (t.text == "BoundedChannel") {
-            m.isChannel = true;
-        } else if (t.text == "const" && angle == 0) {
-            m.isConst = true;
-        } else if ((t.text == "&" || t.text == "*") && angle == 0) {
-            m.isRef = true;
-        }
-    }
-    // Last identifier names the member; the identifier before it (in
-    // declaration order, possibly inside template angles) is the best
-    // single-token guess at the held type.
-    std::size_t name_at = 0;
-    for (std::size_t k = stmt; k < name_end; ++k) {
-        if (toks[k].kind == Token::Kind::Ident) {
-            if (name_at != 0)
-                m.type = toks[name_at].text;
-            name_at = k;
-        }
-    }
-    if (name_at == 0 || m.type.empty())
-        return;
-    m.name = toks[name_at].text;
-    m.line = toks[name_at].line;
-    m.sup20 = sup.allows(m.line, "AF020");
-    m.sup22 = sup.allows(m.line, "AF022");
-    g_own.members.push_back(std::move(m));
-}
-
-/** Walk one class body: member declarations + declared methods. */
-void
-parseOwnershipClassBody(const std::vector<Token> &toks,
-                        std::size_t open, const std::string &cls,
-                        const std::string &rel, const Suppressions &sup)
-{
-    int depth = 0;
-    std::size_t close = toks.size();
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].text == "{") {
-            ++depth;
-        } else if (toks[k].text == "}") {
-            if (--depth == 0) {
-                close = k;
-                break;
-            }
-        }
-    }
-    std::size_t stmt = open + 1;
-    std::size_t k = open + 1;
-    while (k < close) {
-        const std::string &x = toks[k].text;
-        if (x == "(") {
-            recordOwnershipMethod(toks, stmt, k, cls);
-            // Skip the parameter list, then the declaration tail:
-            // a body / ctor-init braces are opaque, a ';' ends it.
-            int d = 0;
-            for (; k < close; ++k) {
-                if (toks[k].text == "(") {
-                    ++d;
-                } else if (toks[k].text == ")" && --d == 0) {
-                    ++k;
-                    break;
-                }
-            }
-            int pd = 0;
-            while (k < close) {
-                const std::string &y = toks[k].text;
-                if (y == "(") {
-                    ++pd;
-                } else if (y == ")") {
-                    --pd;
-                } else if (y == "{" && pd == 0) {
-                    k = skipBraces(toks, k);
-                    break;
-                } else if (y == ";" && pd == 0) {
-                    ++k;
-                    break;
-                }
-                ++k;
-            }
-            stmt = k;
-        } else if (x == "{") {
-            // Brace-initialised member or nested type body.
-            recordOwnershipMember(toks, stmt, k, cls, rel, sup);
-            k = skipBraces(toks, k);
-            if (k < close && toks[k].text == ";")
-                ++k;
-            stmt = k;
-        } else if (x == ";") {
-            recordOwnershipMember(toks, stmt, k, cls, rel, sup);
-            stmt = ++k;
-        } else if (x == ":" && k == stmt + 1 &&
-                   (tokIs(toks, stmt, "public") ||
-                    tokIs(toks, stmt, "private") ||
-                    tokIs(toks, stmt, "protected"))) {
-            stmt = ++k;
-        } else {
-            ++k;
-        }
-    }
-}
-
-/** Phase-1 collection over src/ headers: class bodies. */
-void
-collectOwnershipClasses(const std::vector<Token> &toks,
-                        const std::string &rel, const Suppressions &sup)
-{
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "class") && !tokIs(toks, i, "struct"))
-            continue;
-        if (toks[i + 1].kind != Token::Kind::Ident)
-            continue;
-        // The body '{' must come before any ';' / '(' — otherwise a
-        // forward declaration or an elaborated-type mention.
-        std::size_t open = 0;
-        for (std::size_t k = i + 2; k < toks.size(); ++k) {
-            const std::string &x = toks[k].text;
-            if (x == "{") {
-                open = k;
-                break;
-            }
-            if (x == ";" || x == "(" || x == ")" || x == "}")
-                break;
-        }
-        if (open != 0) {
-            parseOwnershipClassBody(toks, open, toks[i + 1].text, rel,
-                                    sup);
-        }
-    }
-}
-
-/** Phase-1 collection over every src/ file: call sites. */
-void
-collectOwnershipUses(const std::vector<Token> &toks,
-                     const std::string &rel, const Suppressions &sup)
-{
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        // `.` is one token; `->` tokenizes as `-` `>`.
-        std::size_t callee = 0;
-        if (tokIs(toks, i, "."))
-            callee = i + 1;
-        else if (tokIs(toks, i, "-") && tokIs(toks, i + 1, ">"))
-            callee = i + 2;
-        if (callee != 0 && callee + 1 < toks.size() &&
-            toks[callee].kind == Token::Kind::Ident &&
-            tokIs(toks, callee + 1, "(")) {
-            g_own.calls.push_back(
-                {rel, toks[callee].text, toks[callee].line,
-                 sup.allows(toks[callee].line, "AF021")});
-        }
-    }
-}
-
-/** AF020..AF022 resolution, after every file contributed. */
-void
-resolveOwnership(std::vector<Finding> &out)
-{
-    // AF020: a component holding a raw pointer/reference into a
-    // component of the OTHER domain. Channels and the facade are the
-    // sanctioned seams.
-    for (const OwnershipState::Member &m : g_own.members) {
-        const char *holder_dom = componentDomain(m.cls);
-        const char *type_dom = componentDomain(m.type);
-        if (holder_dom == nullptr || type_dom == nullptr)
-            continue;
-        if (!m.isRef || m.isConst || m.isChannel)
-            continue;
-        if (std::string(holder_dom) == type_dom)
-            continue;
-        if (baseStartsWith(m.file, "dram_cache."))
-            continue; // the allowlisted composition point
-        if (m.sup20)
-            continue;
-        out.push_back(
-            {m.file, m.line, "AF020",
-             "'" + m.cls + "::" + m.name + "' holds a raw " +
-                 std::string(holder_dom) + "-side reference to " +
-                 m.type + " (" + type_dom + "-owned); cross the "
-                 "FC<->BC seam through a BoundedChannel or the "
-                 "DramCache facade (DESIGN.md §11)",
-             m.name});
-    }
-
-    // AF021: direct calls of methods attributable to exactly one
-    // controller, outside its own files and outside the facade.
-    std::map<std::string, std::string> attributable;
-    for (const auto &mo : g_own.methodOwners) {
-        if (mo.second.size() != 1)
-            continue;
-        const std::string &cls = *mo.second.begin();
-        if (cls == "FrontsideController" ||
-            cls == "BacksideController")
-            attributable[mo.first] = cls;
-    }
-    for (const OwnershipState::Call &c : g_own.calls) {
-        const auto it = attributable.find(c.method);
-        if (it == attributable.end())
-            continue;
-        const std::string &cls = it->second;
-        const char *home = cls == "FrontsideController"
-                               ? "frontside_controller."
-                               : "backside_controller.";
-        if (baseStartsWith(c.file, home))
-            continue; // the controller's own files
-        if (baseStartsWith(c.file, "dram_cache."))
-            continue; // the allowlisted composition point
-        const char *caller_dom = fileDomain(c.file);
-        if (caller_dom != nullptr &&
-            std::string(caller_dom) == componentDomain(cls))
-            continue; // same-side call, no seam crossed
-        if (c.suppressed)
-            continue;
-        out.push_back(
-            {c.file, c.line, "AF021",
-             "direct call of " + cls + "::" + c.method + " crosses "
-             "the FC<->BC seam synchronously; route it through a "
-             "channel or the DramCache facade (DESIGN.md §11)",
-             c.method});
-    }
-
-    // AF022: a non-component type held mutably from both sides. The
-    // owning side is the one holding it by value (the facade's shared
-    // structures); a mutable reference from the other side reaches
-    // around the channels.
-    std::map<std::string,
-             std::vector<const OwnershipState::Member *>> shared;
-    for (const OwnershipState::Member &m : g_own.members) {
-        if (componentDomain(m.type) != nullptr || m.isChannel)
-            continue;
-        if (m.type.empty() ||
-            !std::isupper(static_cast<unsigned char>(m.type[0])))
-            continue; // class-ish types only
-        shared[m.type].push_back(&m);
-    }
-    for (const auto &entry : shared) {
-        std::set<std::string> domains;
-        std::string owner;
-        for (const OwnershipState::Member *m : entry.second) {
-            domains.insert(componentDomain(m->cls));
-            if (!m->isRef && owner.empty())
-                owner = componentDomain(m->cls);
-        }
-        if (domains.size() < 2)
-            continue;
-        for (const OwnershipState::Member *m : entry.second) {
-            if (!m->isRef || m->isConst)
-                continue;
-            const std::string dom = componentDomain(m->cls);
-            if (!owner.empty() && dom == owner)
-                continue;
-            if (m->sup22)
-                continue;
-            out.push_back(
-                {m->file, m->line, "AF022",
-                 "'" + m->cls + "::" + m->name + "' mutably shares " +
-                     entry.first + " across the FC<->BC seam (" +
-                     (owner.empty() ? std::string("no value owner")
-                                    : owner + "-owned by value") +
-                     ", referenced from " + dom + ") without an "
-                     "owning declaration; pass its data as channel "
-                     "message fields instead (DESIGN.md §11)",
-                 m->name});
-        }
-    }
-
-}
-
 void
 scanFile(const fs::path &path, const std::string &rel,
          std::vector<Finding> &out)
@@ -1776,16 +1214,11 @@ scanFile(const fs::path &path, const std::string &rel,
     if (under_src && !rawEscapeAllowlisted(rel))
         checkRawEscapes(toks, rel, sup, out);
     checkPowerOfTwoLiterals(toks, rel, sup, out);
-    checkChannelBypass(toks, rel, sup, out);
     checkConcreteFlashTypes(toks, rel, sup, out);
     if (under_src) {
         collectUnorderedIteration(toks, rel, sup);
-        collectOwnershipUses(toks, rel, sup);
-        if (isHeader(path))
-            collectOwnershipClasses(toks, rel, sup);
         checkPointerKeyedContainers(toks, rel, sup, out);
         checkMutableStaticState(toks, lines, rel, sup, out);
-        checkChannelContractDeclared(toks, rel, sup, out);
     }
 }
 
@@ -2029,7 +1462,6 @@ main(int argc, char **argv)
         }
     }
     resolveUnorderedIteration(findings);
-    resolveOwnership(findings);
 
     const fs::path baseline_path =
         opt.baselinePath.empty()
