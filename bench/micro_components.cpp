@@ -1,19 +1,25 @@
 /**
  * @file
  * google-benchmark micro suites for the load-bearing primitives:
- * event queue, histogram, Zipfian draws, set-associative lookup, MSR
- * operations, DRAM-cache hit path, ASO rename/store, and real
- * user-level thread switches (the artifact behind the paper's 100 ns
- * switch claim — here measured as host-machine ucontext switches).
+ * event queue, histogram, Zipfian draws, set-associative lookup, a
+ * cold cache-hierarchy miss and fill, MSR operations, DRAM-cache hit
+ * path, ASO rename/store, and real user-level thread switches (the
+ * artifact behind the paper's 100 ns switch claim — here measured as
+ * host-machine ucontext switches).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/dram_cache.hh"
 #include "core/miss_status_row.hh"
 #include "cpu/aso_engine.hh"
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
+#include "mem/cache_hierarchy.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -82,6 +88,44 @@ BM_CacheLookupHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheLookupHit);
+
+/**
+ * tatp_256c's tag-array traffic in miniature: 256 private Table I
+ * hierarchies, uniform lines over 1 GiB, so nearly every access walks
+ * all three levels cold and then fills them. Arg(1) first prefetches
+ * the next access's sets, one access ahead as SimCore::run does.
+ */
+static void
+BM_HierarchyColdMissFill(benchmark::State &state)
+{
+    constexpr std::size_t kCores = 256;
+    constexpr std::uint64_t kLines = (std::uint64_t{1} << 30) /
+                                     mem::kBlockSize;
+    std::vector<std::unique_ptr<mem::CacheHierarchy>> hiers;
+    for (std::size_t c = 0; c < kCores; ++c) {
+        hiers.push_back(std::make_unique<mem::CacheHierarchy>(
+            "core" + std::to_string(c), mem::defaultHierarchyConfig()));
+    }
+    const bool prefetch = state.range(0) != 0;
+    sim::Rng rng(5);
+    std::size_t core = 0;
+    mem::Addr addr = rng.uniformInt(kLines) * mem::kBlockSize;
+    for (auto _ : state) {
+        const std::size_t next_core = (core + 1) % kCores;
+        const mem::Addr next_addr =
+            rng.uniformInt(kLines) * mem::kBlockSize;
+        if (prefetch)
+            hiers[next_core]->prefetch(next_addr);
+        mem::CacheHierarchy &h = *hiers[core];
+        const mem::HierarchyAccess r = h.access(addr, false);
+        benchmark::DoNotOptimize(r);
+        if (r.llcMiss)
+            h.fillFromMemory(addr, false);
+        core = next_core;
+        addr = next_addr;
+    }
+}
+BENCHMARK(BM_HierarchyColdMissFill)->Arg(0)->Arg(1);
 
 static void
 BM_MsrAllocateFree(benchmark::State &state)

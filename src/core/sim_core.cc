@@ -95,6 +95,7 @@ SimCore::pickJob(sim::Ticks now)
         sim::traceEvent(sim::TracePoint::ThreadResume, now, coreId, 0,
                         job.id);
     }
+    prefetchOps(job, job.nextOp);
     // A job with pendingSince set is resuming after a miss: arm the
     // forward-progress bit so its faulting access retires (§IV-C3).
     if (job.pendingSince != 0 && sys.config().forwardProgressBit) {
@@ -104,6 +105,21 @@ SimCore::pickJob(sim::Ticks now)
         forceProgress = false;
     }
     return true;
+}
+
+void
+SimCore::prefetchOps(const workload::Job &job, std::size_t from) const
+{
+    const std::size_t end =
+        std::min(job.ops.size(), from + kPrefetchWindow);
+    for (std::size_t i = from; i < end; ++i) {
+        const workload::Op &op = job.ops[i];
+        if (op.type == workload::Op::Type::Compute)
+            continue;
+        tlbModel.prefetch(op.addr);
+        hier.prefetch(sys.dataPa(op.addr));
+        return;
+    }
 }
 
 sim::Ticks
@@ -269,6 +285,8 @@ SimCore::run()
             current->pendingSince != 0) {
             t += cfg.osCosts.contextSwitch; // switch back in
         }
+    } else {
+        prefetchOps(*current, current->nextOp);
     }
 
     const sim::Ticks burst_start = t;
@@ -305,6 +323,9 @@ SimCore::run()
             ++job.nextOp;
             continue;
         }
+
+        // Overlap the next memory op's host cache misses with this one.
+        prefetchOps(job, job.nextOp + 1);
 
         const bool write = op.type == workload::Op::Type::Store;
         // Register pressure model: roughly one renamed destination

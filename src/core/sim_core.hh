@@ -133,6 +133,16 @@ class SimCore : public sim::SimObject
      */
     MemOutcome memAccess(mem::Addr va, bool write, sim::Ticks t);
 
+    /**
+     * Host-only hint: start loading the TLB and cache sets of the
+     * first memory op among the kPrefetchWindow ops of @p job from
+     * index @p from. It reads the op stream and writes nothing.
+     */
+    void prefetchOps(const workload::Job &job, std::size_t from) const;
+
+    /** Ops prefetchOps() looks through for a memory op. */
+    static constexpr std::size_t kPrefetchWindow = 4;
+
     /** TLB miss service; may stall on flash in the noDP config. */
     sim::Ticks pageWalk(mem::Addr va, sim::Ticks t);
 

@@ -23,6 +23,7 @@ System::System(const SystemConfig &config) : cfg(config)
         cores.push_back(std::make_unique<SimCore>(
             eq, "core" + std::to_string(c), c, *this));
     }
+    checkTagRanges();
 
     if (dcache) {
         dcache->setPageReadyCallback(
@@ -261,6 +262,31 @@ System::buildMemorySystem()
     cfg.dramCache = dc;
     dcache = std::make_unique<DramCache>(eq, "dramcache", dc, *flashDev,
                                          *amap);
+}
+
+void
+System::checkTagRanges() const
+{
+    auto require = [](const char *what, mem::Addr end, mem::Addr limit) {
+        if (end > limit)
+            ASTRI_FATAL("%s cannot tag addresses up to %#llx: its 32-bit "
+                        "tag words end at %#llx; shrink the dataset",
+                        what, static_cast<unsigned long long>(end),
+                        static_cast<unsigned long long>(limit));
+    };
+    const mem::Addr pa_end = amap->flashRange().end();
+    if (!cores.empty()) {
+        require("the on-chip cache hierarchy", pa_end,
+                cores[0]->hierarchy().addressLimit());
+        require("the TLB", cfg.workload.datasetBytes,
+                cores[0]->tlb().addressLimit());
+    }
+    if (dcache)
+        require("the DRAM-cache page tags", pa_end,
+                dcache->pageArray().addressLimit());
+    if (osModel)
+        require("the OS page cache", pa_end,
+                osModel->pageArray().addressLimit());
 }
 
 mem::Addr

@@ -174,6 +174,14 @@ class System
     enum class Phase { Warmup, Measure, Done };
 
     void buildMemorySystem();
+
+    /**
+     * Fatal unless every tag array can hold every address it will see:
+     * the flash BAR's end for the hierarchies and page tags, the
+     * dataset's end for the TLBs (tag words are 32-bit, DESIGN.md §3).
+     */
+    void checkTagRanges() const;
+
     void prewarm();
     void scheduleNextArrival();
     void beginMeasurement(sim::Ticks now);

@@ -1,5 +1,7 @@
 #include "cache_hierarchy.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace astriflash::mem {
@@ -118,6 +120,15 @@ CacheHierarchy::invalidatePage(Addr addr)
     const Addr base = pageBase(addr);
     for (Addr a = base; a < base + kPageSize; a += kBlockSize)
         invalidateBlock(a);
+}
+
+Addr
+CacheHierarchy::addressLimit() const
+{
+    Addr limit = ~Addr{0};
+    for (const auto &level : levels)
+        limit = std::min(limit, level->addressLimit());
+    return limit;
 }
 
 void

@@ -85,14 +85,32 @@ class CacheHierarchy
     void fillFromMemory(Addr addr, bool is_write);
 
     /**
-     * Invalidate the block everywhere (DRAM-cache page eviction makes
-     * on-chip copies stale in a real system; we drop them).
+     * Invalidate the block everywhere.
+     *
+     * A DRAM-cache page eviction makes on-chip copies stale in a real
+     * system, but no simulated path calls this yet: evicted pages'
+     * blocks stay resident on chip, so every `*.invalidations` leaf
+     * reads 0 in every run.
      * @return true if any level held it dirty.
      */
     bool invalidateBlock(Addr addr);
 
     /** Invalidate every block of the 4 KB page containing @p addr. */
     void invalidatePage(Addr addr);
+
+    /**
+     * Host-only hint: start loading @p addr's set in every level. It
+     * reads and writes no simulated state.
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr addr) const
+    {
+        for (const auto &level : levels)
+            level->prefetch(addr);
+    }
+
+    /** First address some level's tag word cannot hold. */
+    Addr addressLimit() const;
 
     /** Dirty block addresses displaced to memory by the last call. */
     const std::vector<Addr> &writebacks() const { return lastWritebacks; }

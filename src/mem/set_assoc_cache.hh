@@ -12,6 +12,7 @@
 #ifndef ASTRIFLASH_MEM_SET_ASSOC_CACHE_HH
 #define ASTRIFLASH_MEM_SET_ASSOC_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,15 +46,18 @@ struct CacheLine {
  * validity, dirtiness, and recency; it never stores data since the
  * simulator is timing-directed, not value-accurate.
  *
- * Layout (DESIGN.md §3): one 8 B tag word and one 8 B stamp per way.
- * Each set is one block of its tag words followed by its stamps, so a
- * lookup and its fill touch adjacent host lines. A tag word holds the
- * line-aligned address with the dirty flag in bit 0; an invalid way
- * holds kInvalidTag, which has bit 1 set and so equals no tag word of
- * a line of 4 B or more. The stamp means what the policy needs: last
- * use for LRU, fill time for FIFO, nothing for Random; an invalid way's
- * stamp is 0 and every valid way's is >= 1, so "first smallest stamp"
- * is also "first invalid way".
+ * Layout (DESIGN.md §3): 5 B per way, in blocks of sets that hold
+ * their tag words and then their meta bytes.
+ *  - A 4 B tag word: the line number with the set-index bits dropped.
+ *    An invalid way holds kInvalidTag, so a line is representable
+ *    only if its tag word is below it; addressLimit() is the first
+ *    address that is not, and the encoder panics on it.
+ *  - A 1 B meta byte: the dirty flag in bit 7 and the way's age in
+ *    bits 0-6. The ages of a set's v valid ways are exactly 0..v-1,
+ *    0 being the most recent use (LRU) or fill (FIFO, Random); an
+ *    invalid way holds kInvalidAge. The ages rank the valid ways, so
+ *    "first invalid way, else the way aged ways-1" is the least
+ *    recently used (LRU) or oldest (FIFO) line.
  */
 class SetAssocCache
 {
@@ -78,12 +82,14 @@ class SetAssocCache
         }
     };
 
+    /** Widest associativity the 7-bit age field can order. */
+    static constexpr std::uint32_t kMaxWays = 127;
+
     /**
      * @param name        Instance name (diagnostics only).
      * @param capacity    Total bytes; must be sets*ways*line_size.
-     * @param line_size   Block or page size in bytes (power of two,
-     *                    >= 4: the tag word's two low bits are spare).
-     * @param ways        Associativity (>=1).
+     * @param line_size   Block or page size in bytes (power of two).
+     * @param ways        Associativity (1..kMaxWays).
      * @param policy      Replacement policy.
      * @param seed        RNG seed for the Random policy.
      */
@@ -127,6 +133,28 @@ class SetAssocCache
     /** Drop every line (e.g. between measurement phases). */
     void flushAll();
 
+    /**
+     * Host-only hint: start loading the host lines that hold @p addr's
+     * set. It reads and writes no simulated state.
+     *
+     * Always inlined, as is every prefetch wrapper: GCC deems a
+     * function whose only effect is a prefetch side-effect free and
+     * deletes the calls to it.
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr addr) const
+    {
+        const Slot s = slotOf(setIndex(addr >> lineShift), 0);
+        prefetchBytes(&words[s.tagAt], waysPerSet * sizeof(std::uint32_t));
+        prefetchBytes(metaOf(s), waysPerSet);
+    }
+
+    /**
+     * First address this array cannot hold: its tag word would reach
+     * kInvalidTag. ~0 when every address fits.
+     */
+    Addr addressLimit() const { return limit; }
+
     /** Number of valid lines currently held. */
     std::uint64_t validLines() const { return validCount; }
 
@@ -161,95 +189,143 @@ class SetAssocCache
 
     /**
      * Audit the array: the valid-line count matches the tag state,
-     * every valid tag is line-aligned and in its proper set, and the
-     * fill/evict/invalidate traffic accounts for the live lines.
+     * each set's valid ages are exactly 0..v-1, invalid ways hold the
+     * invalid meta byte, and the fill/evict/invalidate traffic
+     * accounts for the live lines.
      */
-    void
-    checkInvariants(sim::InvariantChecker &chk) const
-    {
-        std::uint64_t valid = 0;
-        for (std::uint64_t s = 0; s < sets; ++s) {
-            for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-                const std::uint64_t word = words[2 * s * waysPerSet + w];
-                const std::uint64_t when =
-                    words[(2 * s + 1) * waysPerSet + w];
-                if (word == kInvalidTag) {
-                    SIM_INVARIANT_MSG(chk, when == 0,
-                                      "%s: invalid way holds stamp %llu",
-                                      cacheName.c_str(),
-                                      static_cast<unsigned long long>(
-                                          when));
-                    continue;
-                }
-                ++valid;
-                const Addr tag = word & ~kDirtyBit;
-                SIM_INVARIANT_MSG(chk, tag % line == 0,
-                                  "%s: unaligned tag %llx",
-                                  cacheName.c_str(),
-                                  static_cast<unsigned long long>(tag));
-                SIM_INVARIANT_MSG(chk, setOf(tag) == s,
-                                  "%s: tag %llx in wrong set %llu",
-                                  cacheName.c_str(),
-                                  static_cast<unsigned long long>(tag),
-                                  static_cast<unsigned long long>(s));
-                SIM_INVARIANT_MSG(
-                    chk, when >= 1 && when <= stamp,
-                    "%s: valid tag %llx has stamp %llu outside [1, %llu]",
-                    cacheName.c_str(),
-                    static_cast<unsigned long long>(tag),
-                    static_cast<unsigned long long>(when),
-                    static_cast<unsigned long long>(stamp));
-            }
-        }
-        SIM_INVARIANT_MSG(chk, valid == validCount,
-                          "%s: %llu valid ways but counter says %llu",
-                          cacheName.c_str(),
-                          static_cast<unsigned long long>(valid),
-                          static_cast<unsigned long long>(validCount));
-        SIM_INVARIANT(chk, validCount <= sets * waysPerSet);
-        SIM_INVARIANT(chk,
-                      statsData.dirtyEvictions.value() <=
-                          statsData.evictions.value());
-        SIM_INVARIANT(chk,
-                      statsData.evictions.value() +
-                              statsData.invalidations.value() <=
-                          statsData.fills.value() + validCount);
-    }
+    void checkInvariants(sim::InvariantChecker &chk) const;
 
   private:
-    /** Tag word of an invalid way (bit 1 set: no line tag has it). */
-    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
-    /** Dirty flag, in the tag word's spare bit 0. */
-    static constexpr std::uint64_t kDirtyBit = 1;
+    /** Test access to the packed arrays (mutation tests). */
+    friend struct SetAssocCacheTestAccess;
 
-    /** Set number of @p addr. */
-    std::uint64_t
-    setOf(Addr addr) const
+    /** Tag word of an invalid way; no representable line has it. */
+    static constexpr std::uint32_t kInvalidTag = ~std::uint32_t{0};
+    /** Dirty flag, bit 7 of the meta byte. */
+    static constexpr std::uint8_t kDirtyBit = 0x80;
+    /** Age bits of the meta byte. */
+    static constexpr std::uint8_t kAgeMask = 0x7f;
+    /**
+     * Meta byte of an invalid way: an age above every valid one, so
+     * "age below a" selects valid ways only.
+     */
+    static constexpr std::uint8_t kInvalidAge = kMaxWays;
+    /** Host cache line the arrays and their sets are aligned to. */
+    static constexpr std::size_t kHostLine = 64;
+
+    /** A line's place in the array. */
+    struct Slot {
+        std::uint64_t setNo; ///< Set number.
+        std::size_t tagAt;   ///< Index in words of its first tag word.
+        std::size_t metaAt;  ///< Byte offset in words of its first meta.
+        std::uint32_t tag;   ///< The line's tag word.
+    };
+
+    /** Age bits of meta byte @p meta. */
+    static unsigned
+    ageOf(std::uint8_t meta)
     {
-        const std::uint64_t ln = addr >> lineShift;
+        return static_cast<unsigned>(meta & kAgeMask);
+    }
+
+    /** Set the dirty flag of meta byte @p meta. */
+    static void
+    setDirty(std::uint8_t &meta)
+    {
+        meta = static_cast<std::uint8_t>(meta | kDirtyBit);
+    }
+
+    /** Set number of line number @p ln. */
+    std::uint64_t
+    setIndex(std::uint64_t ln) const
+    {
         return setMask != kNoSetMask ? (ln & setMask) : ln % sets;
     }
 
-    /**
-     * Index in words of @p aligned's first tag word. A way is named by
-     * the index i of its tag word; its stamp is words[i + waysPerSet].
-     */
-    std::size_t
-    setBase(Addr aligned) const
+    /** Set @p set_no's place in words, for tag word @p tag. */
+    Slot
+    slotOf(std::uint64_t set_no, std::uint32_t tag) const
     {
-        return static_cast<std::size_t>(setOf(aligned)) * 2 * waysPerSet;
+        const std::size_t block =
+            wordOff +
+            static_cast<std::size_t>(set_no >> blockShift) * blockWords;
+        const std::size_t ways_before =
+            static_cast<std::size_t>(set_no & blockMask) * waysPerSet;
+        return {set_no, block + ways_before,
+                (block + blockWays) * sizeof(std::uint32_t) + ways_before,
+                tag};
     }
 
+    /** Where @p addr lives; panics past addressLimit(). */
+    Slot
+    locate(Addr addr) const
+    {
+        const std::uint64_t ln = addr >> lineShift;
+        const std::uint64_t high =
+            setMask != kNoSetMask ? ln >> setShift : ln / sets;
+        if (high >= kInvalidTag) [[unlikely]]
+            tagRangePanic(addr);
+        return slotOf(ln - high * sets, static_cast<std::uint32_t>(high));
+    }
+
+    /** First tag word of the set at @p s. */
+    std::uint32_t *tagsOf(const Slot &s) { return &words[s.tagAt]; }
+    const std::uint32_t *
+    tagsOf(const Slot &s) const
+    {
+        return &words[s.tagAt];
+    }
+
+    /** First meta byte of the set at @p s (char access to words). */
+    std::uint8_t *
+    metaOf(const Slot &s)
+    {
+        return reinterpret_cast<std::uint8_t *>(
+                   &words[s.metaAt / sizeof(std::uint32_t)]) +
+               s.metaAt % sizeof(std::uint32_t);
+    }
+    const std::uint8_t *
+    metaOf(const Slot &s) const
+    {
+        return reinterpret_cast<const std::uint8_t *>(
+                   &words[s.metaAt / sizeof(std::uint32_t)]) +
+               s.metaAt % sizeof(std::uint32_t);
+    }
+
+    /** Line address held by tag word @p tag of set @p set_no. */
+    Addr
+    lineAddr(std::uint64_t set_no, std::uint32_t tag) const
+    {
+        return (static_cast<Addr>(tag) * sets + set_no) << lineShift;
+    }
+
+    [[noreturn]] void tagRangePanic(Addr addr) const;
+
+    /** Way among the set's tag words @p tags holding @p tag, or
+     *  waysPerSet. */
+    std::uint32_t findWay(const std::uint32_t *tags,
+                          std::uint32_t tag) const;
+
     /**
-     * The way holding @p aligned, searching the set that starts at
-     * @p base; npos if absent.
+     * Make way @p w the youngest of the set whose meta bytes start at
+     * @p meta: every valid way younger than it ages by one. Keeps its
+     * dirty flag.
      */
-    std::size_t findWay(std::size_t base, Addr aligned) const;
+    void touch(std::uint8_t *meta, std::uint32_t w);
 
-    /** The way a fill into the set at @p base replaces. */
-    std::size_t victimWay(std::size_t base);
+    /** Give every way of every set the invalid tag and meta byte. */
+    void invalidateAll();
 
-    static constexpr std::size_t npos = ~std::size_t{0};
+    /** Issue host prefetches covering [@p p, @p p + @p bytes). */
+    [[gnu::always_inline]] static void
+    prefetchBytes(const void *p, std::size_t bytes)
+    {
+        const auto first = reinterpret_cast<std::uintptr_t>(p);
+        for (std::uintptr_t at = first & ~(kHostLine - 1);
+             at < first + bytes; at += kHostLine)
+            __builtin_prefetch(reinterpret_cast<const void *>(at));
+    }
+
     static constexpr std::uint64_t kNoSetMask = ~std::uint64_t{0};
 
     std::string cacheName;
@@ -258,12 +334,31 @@ class SetAssocCache
     std::uint32_t waysPerSet;
     std::uint64_t sets;
     unsigned lineShift;
+    /** log2(sets) when sets is a power of two. */
+    unsigned setShift = 0;
     /** sets - 1 when sets is a power of two, else kNoSetMask. */
     std::uint64_t setMask;
+    Addr limit;
     ReplacementPolicy policy;
-    /** Per set, its ways' tag words, then their stamps. */
-    std::vector<std::uint64_t> words;
-    std::uint64_t stamp = 0;
+    /**
+     * Blocks of 2^blockShift consecutive sets, from word wordOff on:
+     * their tag words, set by set, then their meta bytes, padded to a
+     * whole word. A block holds as many sets as fit their meta bytes
+     * in one host line, so a set's tags and meta share a host page,
+     * and with a power-of-two associativity up to 64 a block is five
+     * host lines. words is over-allocated so block 0 starts on a
+     * host line.
+     */
+    std::vector<std::uint32_t> words;
+    std::size_t wordOff = 0;
+    unsigned blockShift = 0;
+    std::uint64_t blockMask = 0;
+    std::size_t blockWords = 0;
+    /**
+     * Ways in a block: its tag words, so the word where its meta bytes
+     * start, and the number of those bytes.
+     */
+    std::size_t blockWays = 0;
     std::uint64_t validCount = 0;
     sim::Rng rng;
     Stats statsData;

@@ -13,6 +13,7 @@
 #ifndef ASTRIFLASH_MEM_TLB_HH
 #define ASTRIFLASH_MEM_TLB_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -58,7 +59,28 @@ class Tlb
     /** Install a translation after a walk. */
     void fill(Addr vaddr);
 
-    /** Invalidate one page (TLB shootdown target). */
+    /**
+     * Host-only hint: start loading the L1 and L2 sets of @p vaddr's
+     * page. It reads and writes no simulated state.
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr vaddr) const
+    {
+        l1.prefetch(vaddr);
+        l2.prefetch(vaddr);
+    }
+
+    /** First virtual address either level's tag word cannot hold. */
+    Addr
+    addressLimit() const
+    {
+        return std::min(l1.addressLimit(), l2.addressLimit());
+    }
+
+    /**
+     * Invalidate one page (TLB shootdown target). No simulated path
+     * calls this yet, so `shootdowns` reads 0 in every run.
+     */
     void invalidate(Addr vaddr);
 
     /** Invalidate everything (context switch without ASID). */

@@ -152,6 +152,9 @@ class OsPagingModel
         statsData = Stats{};
     }
 
+    /** The page cache's tag array. */
+    const mem::SetAssocCache &pageArray() const { return pageCache; }
+
     TlbShootdownBus &bus() { return shootdownBus; }
     const Stats &stats() const { return statsData; }
     const OsCosts &costs() const { return costsData; }

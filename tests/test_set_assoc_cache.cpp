@@ -12,6 +12,7 @@
 
 #include "mem/set_assoc_cache.hh"
 #include "reference_set_assoc_cache.hh"
+#include "sim/invariant.hh"
 #include "sim/rng.hh"
 
 using namespace astriflash::mem;
@@ -282,10 +283,11 @@ TEST_P(CacheDifferential, MatchesReferenceModelCallForCall)
     astriflash::sim::Rng rng(2024);
 
     // Three frames' worth of lines per way, from the bottom and the
-    // top of the address space: top lines sit next to the invalid-way
-    // tag word and must never alias it.
+    // top of the representable range: the top lines' tag words sit
+    // next to the invalid-way sentinel and must never alias it.
     const std::uint64_t span = g.sets * g.ways * 3;
-    const Addr top = (~Addr{0} / g.line - span + 1) * g.line;
+    const Addr top = c.addressLimit() - span * g.line;
+    ASSERT_EQ(c.addressLimit(), (Addr{0xffffffff} * g.sets) * g.line);
     for (int op = 0; op < 30000; ++op) {
         const Addr base = rng.uniformInt(4) == 0 ? top : 0;
         const Addr a = base + rng.uniformInt(span) * g.line +
@@ -311,6 +313,12 @@ TEST_P(CacheDifferential, MatchesReferenceModelCallForCall)
         expectSameState(c, r, op);
         if (::testing::Test::HasFatalFailure())
             return;
+        if (op % 1000 == 999) {
+            // The packed ages stay a permutation of 0..v-1 per set.
+            astriflash::sim::InvariantChecker chk;
+            c.checkInvariants(chk);
+            ASSERT_EQ(chk.failures(), 0u) << "op " << op;
+        }
     }
 }
 
@@ -333,9 +341,120 @@ INSTANTIATE_TEST_SUITE_P(
                                          ReplacementPolicy::Random)),
     diffCaseName);
 
-/** A line below 4 B leaves the tag word no spare bits. */
+/**
+ * The tag word's top value is the invalid-way sentinel, so the lines
+ * whose tag would need it have no spare tag value: the array holds
+ * the line just below the limit and rejects the first one past it,
+ * whatever the line size, 2 B included.
+ */
 TEST(SetAssocCacheDeath, RejectsLinesWithoutSpareTagBits)
 {
-    EXPECT_EXIT(SetAssocCache("x", 2 * 2, 2, 2),
-                ::testing::ExitedWithCode(1), "spare tag bits");
+    SetAssocCache c("x", 2 * 2, 2, 2);
+    const Addr limit = c.addressLimit();
+    EXPECT_EQ(limit, Addr{0xffffffff} * 2);
+    EXPECT_FALSE(c.fill(limit - 2).has_value());
+    EXPECT_TRUE(c.contains(limit - 1));
+    EXPECT_DEATH(c.fill(limit), "past the tag range");
+}
+
+/** One line past the range panics on every entry point. */
+TEST(SetAssocCacheDeath, AddressOneLinePastTheRangePanics)
+{
+    // The L1D geometry: 256 sets of 4 x 64 B lines.
+    SetAssocCache c("l1d", 64 * 1024, 64, 4);
+    const Addr past = c.addressLimit();
+    EXPECT_EQ(past, (Addr{0xffffffff} << 8) << 6);
+    EXPECT_FALSE(c.access(past - 64));
+    c.fill(past - 64);
+    EXPECT_TRUE(c.access(past - 1));
+    EXPECT_DEATH(c.access(past), "past the tag range");
+    EXPECT_DEATH(c.accessWrite(past), "past the tag range");
+    EXPECT_DEATH(c.contains(past), "past the tag range");
+    EXPECT_DEATH(c.fill(past), "past the tag range");
+    EXPECT_DEATH(c.invalidate(past), "past the tag range");
+    EXPECT_DEATH(c.markDirty(past), "past the tag range");
+    // A non-power-of-two set count divides instead of shifting.
+    SetAssocCache odd("odd", 96 * 8 * 4096, 4096, 8);
+    EXPECT_EQ(odd.addressLimit(), Addr{0xffffffff} * 96 * 4096);
+    odd.fill(odd.addressLimit() - 4096);
+    EXPECT_DEATH(odd.fill(odd.addressLimit()), "past the tag range");
+}
+
+/** Wide sets whose limit passes 2^64 hold every address. */
+TEST(SetAssocCache, LimitSaturatesWhenEveryAddressFits)
+{
+    SetAssocCache c("pages", std::uint64_t{1} << 40, 1 << 20, 16);
+    EXPECT_EQ(c.addressLimit(), ~Addr{0});
+    c.fill(~Addr{0});
+    EXPECT_TRUE(c.contains(~Addr{0}));
+}
+
+/** The 7-bit age field orders at most 127 ways. */
+TEST(SetAssocCacheDeath, RejectsAssociativityAboveTheAgeField)
+{
+    SetAssocCache widest("x", 127 * 64, 64, SetAssocCache::kMaxWays);
+    EXPECT_EQ(widest.associativity(), 127u);
+    EXPECT_EXIT(SetAssocCache("x", 128 * 64, 64, 128),
+                ::testing::ExitedWithCode(1), "age field");
+}
+
+namespace astriflash::mem {
+
+/** Reaches the packed meta bytes to corrupt them. */
+struct SetAssocCacheTestAccess {
+    static std::uint8_t &
+    meta(SetAssocCache &c, std::uint64_t set_no, std::uint32_t w)
+    {
+        return c.metaOf(c.slotOf(set_no, 0))[w];
+    }
+};
+
+} // namespace astriflash::mem
+
+namespace {
+
+std::uint64_t
+auditFailures(const SetAssocCache &c)
+{
+    astriflash::sim::InvariantChecker chk;
+    c.checkInvariants(chk);
+    return chk.failures();
+}
+
+} // namespace
+
+/** checkInvariants catches a repeated or an out-of-range age. */
+TEST(SetAssocCache, InvariantsCatchCorruptAges)
+{
+    // 4 sets x 4 ways of 64 B: set 0 holds lines 0, 256, 512, ...
+    SetAssocCache c("m", 4 * 4 * 64, 64, 4);
+    for (Addr a = 0; a < 4 * 256; a += 256)
+        c.fill(a);
+    c.fill(64); // set 1: one valid way
+    ASSERT_EQ(auditFailures(c), 0u);
+
+    // Ways 0..3 of set 0 hold ages 3, 2, 1, 0 (fill order).
+    std::uint8_t &way0 = SetAssocCacheTestAccess::meta(c, 0, 0);
+    std::uint8_t &way1 = SetAssocCacheTestAccess::meta(c, 0, 1);
+    const std::uint8_t saved = way1;
+    way1 = static_cast<std::uint8_t>((way1 & 0x80) | (way0 & 0x7f));
+    EXPECT_GT(auditFailures(c), 0u) << "repeated age";
+    way1 = saved;
+    ASSERT_EQ(auditFailures(c), 0u);
+
+    // An age of 4 in a 4-way set, and of 1 in a one-line set.
+    way0 = static_cast<std::uint8_t>((way0 & 0x80) | 4);
+    EXPECT_GT(auditFailures(c), 0u) << "age past the set";
+    way0 = static_cast<std::uint8_t>((way0 & 0x80) | 3);
+    ASSERT_EQ(auditFailures(c), 0u);
+    std::uint8_t &lone = SetAssocCacheTestAccess::meta(c, 1, 0);
+    lone = 1;
+    EXPECT_GT(auditFailures(c), 0u) << "age past a partial set";
+    lone = 0;
+    ASSERT_EQ(auditFailures(c), 0u);
+
+    // An invalid way must hold the invalid meta byte.
+    std::uint8_t &hole = SetAssocCacheTestAccess::meta(c, 1, 1);
+    hole = 0;
+    EXPECT_GT(auditFailures(c), 0u) << "invalid way with an age";
 }

@@ -200,3 +200,17 @@ TEST(SystemIntegration, ForwardProgressPreventsLivelock)
         forced_sync += sys.coreAt(c).stats().syncMissStalls.value();
     EXPECT_GT(forced_sync, 0u);
 }
+
+TEST(SystemIntegrationDeath, TagRangeShortOfTheDatasetIsFatal)
+{
+    // 1 B TLB "pages" shrink the fully associative L1 TLB's 32-bit
+    // tags to a 4 GiB reach, short of an 8 GiB dataset's virtual
+    // range: the config is refused before the first event instead of
+    // panicking on the first access past the range.
+    SystemConfig cfg = smallCfg(SystemKind::AstriFlash);
+    cfg.workload.datasetBytes = 8ull << 30;
+    cfg.tlb.pageSize = 1;
+    EXPECT_EXIT(System{cfg}, ::testing::ExitedWithCode(1),
+                "the TLB cannot tag addresses up to 0x200000000: its "
+                "32-bit tag words end at 0xffffffff");
+}
